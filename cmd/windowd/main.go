@@ -129,6 +129,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	if err != nil {
 		return usageError{err} // a bad protocol/constraint is a usage error
 	}
+	// Catch the shutdown signals before any listener is announced: a
+	// client that sees the address may SIGTERM at once, and that must
+	// drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		return err
@@ -148,8 +153,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
 	httpSrv := &http.Server{Handler: s.routes()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -9,13 +10,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"windowctl"
 	"windowctl/internal/metrics"
-	"windowctl/internal/rngutil"
 )
 
 func testOptions() options {
@@ -213,7 +216,7 @@ func barePump(t *testing.T, o options) (*server, *pumpState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, &pumpState{s: srv, st: st, o: o, lam: o.lambda(), est: est, rel: rngutil.New(o.seed ^ 0x6a09e667f3bcc909)}
+	return srv, newPumpState(srv, st, o, est)
 }
 
 // A /config swap under load must not shed the in-engine backlog: every
@@ -253,6 +256,43 @@ func TestReconfigureCarriesBacklog(t *testing.T) {
 	}
 	if p.st.Backlog() != 0 {
 		t.Errorf("carried backlog never drained: %d left", p.st.Backlog())
+	}
+}
+
+// TestReconfigureKeepsBooksBalanced verifies that a /config swap leaves the
+// incoming engine's conservation books balanced: after the carried 50 are
+// drained, CheckNow and Finish both return nil.  With the bug (the
+// incoming engine built, and its checkpoint taken, before the outgoing
+// Finish stamped that engine's 50 queued arrivals) the 50 were booked
+// twice in the incoming engine's window, and CheckNow reported
+// "message conservation violated: 100 arrivals != 3 transmissions + 47
+// discards + 0 resident" from then on, so /healthz stayed 503.
+func TestReconfigureKeepsBooksBalanced(t *testing.T) {
+	o := testOptions()
+	_, p := barePump(t, o)
+	for i := 0; i < 5; i++ {
+		if err := p.st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.st.Inject(50)
+	o2 := o
+	o2.km, o2.load = 4, 0.5
+	m := ctrlMsg{opts: o2, reply: make(chan error, 1)}
+	p.reconfigure(m)
+	if err := <-m.reply; err != nil {
+		t.Fatalf("reconfigure: %v", err)
+	}
+	for i := 0; i < 20000 && p.st.Backlog() > 0; i++ {
+		if err := p.st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.st.CheckNow(); err != nil {
+		t.Errorf("CheckNow after swap and drain = %v, want nil", err)
+	}
+	if _, err := p.st.Finish(); err != nil {
+		t.Errorf("Finish after swap = %v, want nil", err)
 	}
 }
 
@@ -411,5 +451,51 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-h"}, io.Discard, io.Discard, nil); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: want flag.ErrHelp, got %v", err)
+	}
+}
+
+// signalOnWrite sends SIGTERM to this process from inside the first
+// Write that contains needle, before the writer returns.
+type signalOnWrite struct {
+	needle string
+	once   sync.Once
+}
+
+func (w *signalOnWrite) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte(w.needle)) {
+		w.once.Do(func() { syscall.Kill(os.Getpid(), syscall.SIGTERM) })
+	}
+	return len(b), nil
+}
+
+// A SIGTERM sent the moment windowd announces its listeners must drain,
+// not kill.  The signal goes out from inside the write of the first
+// announcement, the earliest a client can know an address, so it lands
+// before ready fires.  Were the handler installed after the
+// announcement, the signal's default action would end the whole test
+// binary here.
+func TestRunSIGTERMAtReadyDrains(t *testing.T) {
+	ready := make(chan string, 1)
+	var stdout bytes.Buffer
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-listen", "127.0.0.1:0", "-listen-tcp", "127.0.0.1:0", "-drain-timeout", "2s"},
+			&stdout, &signalOnWrite{needle: "windowd: listening on"}, ready)
+	}()
+	select {
+	case <-ready:
+	case err := <-errc:
+		t.Fatalf("run returned before announcing: %v", err)
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("run after SIGTERM: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("run did not drain after SIGTERM")
+	}
+	if out := stdout.String(); !strings.Contains(out, "conservation invariants verified") {
+		t.Errorf("no clean-drain marker in output:\n%s", out)
 	}
 }

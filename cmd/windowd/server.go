@@ -160,18 +160,22 @@ type server struct {
 	ingestedTCP   atomic.Int64
 	tcpFrames     atomic.Int64 // counts frames absorbed by the TCP plane
 	tcpConns      atomic.Int64 // open TCP ingest connections (gauge)
-	owedGauge     atomic.Int64 // pump's owed ledger, refreshed every iteration
+	owedGauge     atomic.Int64 // pump's owed ledger, stored whenever it changes
 
 	tcp     *tcpPlane // nil when -listen-tcp is off
 	maxOwed int64
 	pprofOn bool
 
-	draining  atomic.Bool
-	notify    chan struct{}
-	ctrl      chan ctrlMsg
-	drainCh   chan struct{}
-	drainOnce sync.Once
-	done      chan struct{}
+	draining atomic.Bool
+	notify   chan struct{}
+	ctrl     chan ctrlMsg
+	drainCh  chan struct{}
+	// ctrlWaiting is nonzero while a /config handler waits to hand the
+	// pump its ctrlMsg, and from the start of the drain on: the pump's
+	// one-load test for whether ctrl or drainCh needs a look.
+	ctrlWaiting atomic.Int32
+	drainOnce   sync.Once
+	done        chan struct{}
 
 	status atomic.Pointer[engineStatus]
 	final  atomic.Pointer[finalResult]
@@ -260,6 +264,7 @@ func (s *server) beginDrain() {
 			// final accounting.
 			s.tcp.close()
 		}
+		s.ctrlWaiting.Add(1) // never lowered: the pump must see the drain
 		close(s.drainCh)
 	})
 }
@@ -275,6 +280,20 @@ type pumpState struct {
 	rel   *rngutil.Stream
 	owed  int64
 	steps uint64
+	// relMean and relExp memoise the last release mean and exp(−relMean):
+	// idle epochs all last one slot, so the mean repeats step after step.
+	relMean, relExp float64
+}
+
+func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimator) *pumpState {
+	return &pumpState{
+		s: s, st: st, o: o, lam: o.lambda(), est: est,
+		// The release stream is separate from the engine's seed so the
+		// engine's own randomness stays aligned with an equally-seeded
+		// batch run.
+		rel:    rngutil.New(o.seed ^ 0x6a09e667f3bcc909),
+		relExp: 1, // exp(−0)
+	}
 }
 
 // pump is the single goroutine owning the engine.  Each iteration absorbs
@@ -283,27 +302,30 @@ type pumpState struct {
 // saturation the materialized arrival process is Poisson(λ′) in channel
 // time, matching the batch simulator's arrival law, while the owed ledger
 // (a plain integer) absorbs any wall-clock burst without allocating.
+//
+// At the figure-7 point the pump runs about eleven mostly idle steps per
+// admission decision, so the loop's fixed cost is kept to the engine step:
+// the control plane is polled with one atomic load, and the channel
+// select runs only once a /config handler or the drain has raised
+// ctrlWaiting.
 func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 	defer close(s.done)
-	p := &pumpState{
-		s: s, st: st, o: o, lam: o.lambda(), est: est,
-		// The release stream is separate from the engine's seed so the
-		// engine's own randomness stays aligned with an equally-seeded
-		// batch run.
-		rel: rngutil.New(o.seed ^ 0x6a09e667f3bcc909),
-	}
+	p := newPumpState(s, st, o, est)
 	for {
-		select {
-		case m := <-s.ctrl:
-			p.reconfigure(m)
-			continue
-		case <-s.drainCh:
-			p.drain()
-			return
-		default:
+		if s.ctrlWaiting.Load() != 0 {
+			select {
+			case m := <-s.ctrl:
+				p.reconfigure(m)
+				continue
+			case <-s.drainCh:
+				p.drain()
+				return
+			default:
+				// The handler has not reached its send yet; look again
+				// next iteration.
+			}
 		}
-		p.owed += s.ingested.Swap(0)
-		s.owedGauge.Store(p.owed)
+		p.absorb()
 		if !p.o.synthetic && p.owed == 0 && p.st.Backlog() == 0 {
 			// Idle: nothing to schedule and nothing owed.  Freeze virtual
 			// time and park until an ingest, reconfiguration or drain.
@@ -328,6 +350,19 @@ func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 	}
 }
 
+// absorb moves the ingest counter into the owed ledger and refreshes the
+// owed gauge.  Both are locked writes, so each is skipped when it would
+// change nothing: the counter is swapped only when a load reads it
+// nonzero, the gauge stored only when the ledger moved.
+func (p *pumpState) absorb() {
+	if p.s.ingested.Load() != 0 {
+		p.owed += p.s.ingested.Swap(0)
+	}
+	if p.s.owedGauge.Load() != p.owed {
+		p.s.owedGauge.Store(p.owed)
+	}
+}
+
 // advance runs one decision epoch and releases owed arrivals matched to
 // the channel time it consumed.  This is the ingest→schedule hot path:
 // with the engine warm it performs zero allocations per call.
@@ -336,8 +371,11 @@ func (p *pumpState) advance() error {
 	if err := p.st.Step(); err != nil {
 		return err
 	}
-	elapsed := p.st.Now() - before
-	n := int64(p.rel.Poisson(p.lam * elapsed))
+	mean := p.lam * (p.st.Now() - before)
+	if mean != p.relMean {
+		p.relMean, p.relExp = mean, math.Exp(-mean)
+	}
+	n := int64(p.rel.PoissonExp(mean, p.relExp))
 	if !p.o.synthetic {
 		if n > p.owed {
 			n = p.owed
@@ -360,6 +398,12 @@ func (p *pumpState) advance() error {
 // cumulative arrival counter advances by the carried count at each swap
 // (see docs/SERVICE.md).
 func (p *pumpState) reconfigure(m ctrlMsg) {
+	// Book the outgoing engine's released-but-unstamped arrivals before the
+	// incoming engine takes its conservation checkpoint.  Left to the
+	// outgoing Finish, they would land in the incoming engine's window
+	// twice — booked by that Finish and again in the carry — and its
+	// books would never balance.
+	p.st.Materialize()
 	st, est, err := m.opts.engine(p.s.shared)
 	if err != nil {
 		m.reply <- err
@@ -397,8 +441,7 @@ func (p *pumpState) drain() {
 		// accept()'s draining check just as beginDrain fired may add to
 		// ingested after drain has started, and a single up-front Swap
 		// would strand those acknowledged messages unscheduled.
-		p.owed += p.s.ingested.Swap(0)
-		p.s.owedGauge.Store(p.owed)
+		p.absorb()
 		if p.owed == 0 && p.st.Backlog() == 0 {
 			break
 		}
@@ -718,13 +761,19 @@ func (s *server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := ctrlMsg{opts: o, reply: make(chan error, 1)}
+	// The pump looks at ctrl only while ctrlWaiting is raised.
+	s.ctrlWaiting.Add(1)
+	var refused string
 	select {
 	case s.ctrl <- m:
 	case <-s.done:
-		http.Error(w, "pump stopped", http.StatusServiceUnavailable)
-		return
+		refused = "pump stopped"
 	case <-time.After(5 * time.Second):
-		http.Error(w, "pump busy", http.StatusServiceUnavailable)
+		refused = "pump busy"
+	}
+	s.ctrlWaiting.Add(-1)
+	if refused != "" {
+		http.Error(w, refused, http.StatusServiceUnavailable)
 		return
 	}
 	if err := <-m.reply; err != nil {

@@ -239,6 +239,15 @@ func (r *Stream) Geometric(p float64) int {
 // normal approximation with continuity correction (adequate for the
 // workload generators here, which use it only for sanity tooling).
 func (r *Stream) Poisson(mean float64) int {
+	return r.PoissonExp(mean, math.Exp(-mean))
+}
+
+// PoissonExp is Poisson with exp(−mean) supplied by the caller, for loops
+// that draw again and again at one mean and can keep the exponential
+// instead of recomputing it per draw.  expNegMean must equal
+// math.Exp(-mean); then the draws are identical to Poisson's.  It is read
+// only on the small-mean path (mean < 30).
+func (r *Stream) PoissonExp(mean, expNegMean float64) int {
 	if mean < 0 {
 		panic("rngutil: Poisson with negative mean")
 	}
@@ -246,12 +255,11 @@ func (r *Stream) Poisson(mean float64) int {
 		return 0
 	}
 	if mean < 30 {
-		l := math.Exp(-mean)
 		k := 0
 		p := 1.0
 		for {
 			p *= r.Float64Open()
-			if p <= l {
+			if p <= expNegMean {
 				return k
 			}
 			k++

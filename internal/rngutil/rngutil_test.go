@@ -210,6 +210,21 @@ func TestPoissonMeanVariance(t *testing.T) {
 	}
 }
 
+// PoissonExp with the exponential precomputed must replay Poisson draw
+// for draw on both sampling paths (Knuth below 30, normal from 30) and at
+// the zero-mean shortcut.
+func TestPoissonExpMatchesPoisson(t *testing.T) {
+	for _, mean := range []float64{0, 0.03, 1, 29.9, 30, 80} {
+		a, b := New(21), New(21)
+		l := math.Exp(-mean)
+		for i := 0; i < 10000; i++ {
+			if got, want := a.PoissonExp(mean, l), b.Poisson(mean); got != want {
+				t.Fatalf("mean %v draw %d: PoissonExp gave %d, Poisson gave %d", mean, i, got, want)
+			}
+		}
+	}
+}
+
 func TestNormalMoments(t *testing.T) {
 	r := New(11)
 	const n = 300000

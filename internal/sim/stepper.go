@@ -134,6 +134,14 @@ func (s *Stepper) materialize() {
 	}
 }
 
+// Materialize stamps the arrivals injected since the last Step now,
+// without advancing the clock, so the collector has booked them.  Step
+// does the same first thing, so calling Materialize just before Step
+// leaves the run unchanged.  A caller that hands the collector to a
+// second engine calls it before building that engine: the second
+// engine's conservation checkpoint must already include these arrivals.
+func (s *Stepper) Materialize() { s.materialize() }
+
 // Now returns the current virtual channel time.
 func (s *Stepper) Now() float64 { return s.g.now }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"windowctl/internal/metrics"
@@ -109,6 +110,50 @@ func TestStepperCheckNowAfterInject(t *testing.T) {
 	}
 	if _, err := s.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// Materialize books the queued arrivals with the collector at once, and
+// calling it just before Step leaves the run exactly as Step alone would
+// have made it.
+func TestStepperMaterializeBeforeStep(t *testing.T) {
+	run := func(early bool) (Report, *metrics.SlotMetrics) {
+		cfg := stepperConfig()
+		col := metrics.NewSlotMetrics(cfg.Tau, 200)
+		cfg.Collector = col
+		s, err := NewStepper(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rngutil.New(3)
+		for i := 0; i < 20000; i++ {
+			before := s.Now()
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			n := rng.Poisson(cfg.Lambda * (s.Now() - before))
+			s.Inject(n)
+			if early {
+				booked := col.Arrivals
+				s.Materialize()
+				if col.Arrivals != booked+int64(n) {
+					t.Fatalf("step %d: Materialize booked %d arrivals, want %d", i, col.Arrivals-booked, n)
+				}
+			}
+		}
+		rep, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, col
+	}
+	rep, col := run(false)
+	rep2, col2 := run(true)
+	if !reflect.DeepEqual(rep, rep2) {
+		t.Errorf("report changed by Materialize:\n got %+v\nwant %+v", rep2, rep)
+	}
+	if !reflect.DeepEqual(col, col2) {
+		t.Errorf("collector changed by Materialize:\n got %+v\nwant %+v", col2, col)
 	}
 }
 
