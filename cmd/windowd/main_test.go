@@ -209,7 +209,7 @@ func TestServerConfigSwap(t *testing.T) {
 // barePump builds a pumpState outside newServer so reconfigure/drain can
 // be exercised deterministically, without the pump goroutine owning the
 // engine or the expvar surface being touched.
-func barePump(t *testing.T, o options) (*server, *pumpState) {
+func barePump(t testing.TB, o options) (*server, *pumpState) {
 	t.Helper()
 	srv := &server{shared: metrics.NewShared(o.tau, 256), opts: o}
 	st, est, err := o.engine(srv.shared)
@@ -497,5 +497,55 @@ func TestRunSIGTERMAtReadyDrains(t *testing.T) {
 	}
 	if out := stdout.String(); !strings.Contains(out, "conservation invariants verified") {
 		t.Errorf("no clean-drain marker in output:\n%s", out)
+	}
+}
+
+// TestIngestRejectsOversizedCount pins the NDJSON per-record bound.  The
+// body {"count":9223372036854775807}\n{"count":1}\n sums to 2^63, which
+// wraps to -9223372036854775808.  With the bug, that total is booked with
+// 202 Accepted, the pump clamps its release to the negative ledger and
+// windowd dies with "sim: negative arrival count".  A record above
+// 2^32−1 (the wire protocol's and /ingest.bin's per-entry bound) must
+// instead be refused with 400, booking nothing.
+func TestIngestRejectsOversizedCount(t *testing.T) {
+	s, err := newServer(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	for _, body := range []string{
+		"{\"count\":9223372036854775807}\n{\"count\":1}\n",
+		"{\"count\":4294967296}\n",
+	} {
+		resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /ingest %q: status %d (%s), want 400", body, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+	}
+	if got := s.totalIngested.Load(); got != 0 {
+		t.Errorf("ingested total = %d after refused bodies, want 0", got)
+	}
+
+	// The pump is still alive and serving: a valid body is scheduled and
+	// the drain balances the books.
+	postNDJSON(t, ts.URL, "{\"count\":5}\n")
+	s.beginDrain()
+	select {
+	case <-s.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not complete")
+	}
+	if fin := s.final.Load(); fin == nil || fin.err != nil {
+		t.Fatalf("drain after refused bodies: %+v", fin)
+	}
+	if got := s.shared.Snapshot().Arrivals; got != 5 {
+		t.Errorf("arrivals = %d, want the 5 of the valid body", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -165,5 +166,193 @@ func TestAdvanceMatchesDirectPoisson(t *testing.T) {
 				t.Errorf("report diverged:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// figure7Options is the benchmark's saturation point: K/M = 2, ρ′ = 0.75,
+// M = 25, where most decision epochs are idle probes of an empty channel.
+func figure7Options(tau float64) options {
+	o := testOptions()
+	o.tau, o.m, o.km, o.load = tau, 25, 2, 0.75
+	return o
+}
+
+// The pump's idle runs are an optimisation, not a new path: the loop that
+// takes them and the per-step reference (Step, then Poisson(λ′·elapsed)
+// clamped to the ledger) must reach the same clock, step count, ledger,
+// report and collector — the collector's idle time (and the utilization
+// derived from it) excepted at a non-integer τ, where one record of k
+// slots rounds differently from k records of one.
+func TestPumpIdleRunMatchesStepping(t *testing.T) {
+	for _, tau := range []float64{1, 0.37} {
+		for _, tc := range []struct {
+			name      string
+			synthetic bool
+			owed      int64
+		}{
+			{"synthetic", true, 0},
+			{"owed ledger", false, 1500},
+		} {
+			t.Run(fmt.Sprintf("tau=%v/%s", tau, tc.name), func(t *testing.T) {
+				const n = 60000
+				o := figure7Options(tau)
+				o.synthetic = tc.synthetic
+				srv, p := barePump(t, o)
+				p.owed = tc.owed
+				runs := 0
+				for p.steps < n {
+					before := p.steps
+					if err := p.step(); err != nil {
+						t.Fatal(err)
+					}
+					if p.steps-before > 1 {
+						runs++
+					}
+				}
+				if runs < 100 {
+					t.Fatalf("setup: only %d idle runs of more than one slot were taken", runs)
+				}
+
+				ref := metrics.NewShared(o.tau, 256)
+				st, _, err := o.engine(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel := rngutil.New(o.seed ^ 0x6a09e667f3bcc909)
+				owed := tc.owed
+				for i := uint64(0); i < p.steps; i++ {
+					before := st.Now()
+					if err := st.Step(); err != nil {
+						t.Fatal(err)
+					}
+					k := int64(rel.Poisson(o.lambda() * (st.Now() - before)))
+					if !o.synthetic {
+						k = min(k, owed)
+						owed -= k
+					}
+					st.Inject(int(k))
+				}
+				if !o.synthetic && owed != 0 {
+					t.Fatalf("setup: the ledger never ran dry (%d owed), so the clamp went untested", owed)
+				}
+
+				if p.st.Now() != st.Now() {
+					t.Errorf("Now() = %v, reference loop %v", p.st.Now(), st.Now())
+				}
+				if p.owed != owed {
+					t.Errorf("owed = %d, reference loop %d", p.owed, owed)
+				}
+				got, err := p.st.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := st.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("report diverged:\n got %+v\nwant %+v", got, want)
+				}
+				gs, ws := srv.shared.Snapshot(), ref.Snapshot()
+				if tau != 1 {
+					if d := math.Abs(gs.IdleTime - ws.IdleTime); d > 1e-9*ws.IdleTime {
+						t.Errorf("collector idle time %v, reference loop %v", gs.IdleTime, ws.IdleTime)
+					}
+					gs.IdleTime, gs.Utilization = ws.IdleTime, ws.Utilization
+				}
+				if gs != ws {
+					t.Errorf("collector diverged:\n got %+v\nwant %+v", gs, ws)
+				}
+			})
+		}
+	}
+}
+
+// A warm pump iteration that takes an idle run allocates nothing: the
+// release callback is bound once, not rebuilt per call.
+func TestPumpIdleRunZeroAlloc(t *testing.T) {
+	o := figure7Options(1)
+	o.synthetic = true
+	_, p := barePump(t, o)
+	iter := func() {
+		p.absorb()
+		if err := p.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		iter()
+	}
+	before := p.steps
+	const runs = 2000
+	if a := testing.AllocsPerRun(runs, iter); a != 0 {
+		t.Errorf("absorb + step: %v allocs per iteration, want 0", a)
+	}
+	if per := float64(p.steps-before) / (runs + 1); per < 2 {
+		t.Errorf("%.2f steps per iteration: the iterations measured took no idle runs", per)
+	}
+}
+
+// Idle runs stop at every multiple of 1024 steps, so a running pump still
+// publishes its status there and nowhere else.
+func TestPublishedStepsOnBoundaries(t *testing.T) {
+	o := figure7Options(1)
+	o.synthetic = true
+	s, err := newServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(seen) < 20 && time.Now().Before(deadline) {
+		if st := s.status.Load().Steps; st != 0 && !seen[st] {
+			seen[st] = true
+			if st%1024 != 0 {
+				t.Errorf("published steps = %d, not a multiple of 1024", st)
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if len(seen) < 2 {
+		t.Errorf("saw %d published step counts in 5s, want a running pump", len(seen))
+	}
+	s.beginDrain()
+	select {
+	case <-s.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain did not complete")
+	}
+}
+
+// BenchmarkPumpSaturated runs windowd's pump loop in process — no
+// sockets — on a synthetic engine at the figure-7 saturation point and
+// reports admission decisions (transmitted or shed) per second.  One
+// b.N iteration is one pump iteration; steps/decision counts decision
+// epochs and iters/decision the loop iterations that took them.
+func BenchmarkPumpSaturated(b *testing.B) {
+	o := figure7Options(1)
+	o.synthetic = true
+	srv, p := barePump(b, o)
+	decided := func() int64 {
+		snap := srv.shared.Snapshot()
+		return snap.Transmissions + snap.Discards
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	d0, s0 := decided(), p.steps
+	for i := 0; i < b.N; i++ {
+		p.absorb()
+		if err := p.step(); err != nil {
+			b.Fatal(err)
+		}
+		if p.steps&1023 == 0 {
+			p.publish(p.st.CheckNow())
+		}
+	}
+	b.StopTimer()
+	if d := decided() - d0; d > 0 {
+		b.ReportMetric(float64(d)/b.Elapsed().Seconds(), "decisions/s")
+		b.ReportMetric(float64(p.steps-s0)/float64(d), "steps/decision")
+		b.ReportMetric(float64(b.N)/float64(d), "iters/decision")
 	}
 }

@@ -303,11 +303,12 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 // time, matching the batch simulator's arrival law, while the owed ledger
 // (a plain integer) absorbs any wall-clock burst without allocating.
 //
-// At the figure-7 point the pump runs about eleven mostly idle steps per
-// admission decision, so the loop's fixed cost is kept to the engine step:
-// the control plane is polled with one atomic load, and the channel
-// select runs only once a /config handler or the drain has raised
-// ctrlWaiting.
+// At the figure-7 point the protocol probes about eleven mostly idle
+// slots per admission decision.  The pump takes each run of idle slots in
+// one Stepper.IdleRun call, drawing the release slot by slot, and keeps
+// the loop's fixed cost small: the control plane is polled with one
+// atomic load, and the channel select runs only once a /config handler
+// or the drain has raised ctrlWaiting.
 func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 	defer close(s.done)
 	p := newPumpState(s, st, o, est)
@@ -340,7 +341,7 @@ func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 			}
 			continue
 		}
-		if err := p.advance(); err != nil {
+		if err := p.step(); err != nil {
 			p.fail(err)
 			return
 		}
@@ -363,19 +364,48 @@ func (p *pumpState) absorb() {
 	}
 }
 
+// step advances the engine by a run of idle slots when it can take one
+// and there is something to release, otherwise by one decision epoch.
+// Either way it adds the decision epochs taken to p.steps and stops at
+// the next multiple of 1024 steps, where the pump publishes its status.
+// With the engine warm it performs zero allocations per call.
+func (p *pumpState) step() error {
+	if p.o.synthetic || p.owed > 0 {
+		slots, n := p.st.IdleRun(1024-int(p.steps&1023), p.release)
+		if slots > 0 {
+			p.steps += uint64(slots)
+			p.inject(int64(n))
+			return nil
+		}
+	}
+	return p.advance()
+}
+
 // advance runs one decision epoch and releases owed arrivals matched to
-// the channel time it consumed.  This is the ingest→schedule hot path:
-// with the engine warm it performs zero allocations per call.
+// the channel time it consumed.  This is the ingest→schedule hot path.
 func (p *pumpState) advance() error {
 	before := p.st.Now()
 	if err := p.st.Step(); err != nil {
 		return err
 	}
-	mean := p.lam * (p.st.Now() - before)
+	p.inject(int64(p.release(p.st.Now() - before)))
+	p.steps++
+	return nil
+}
+
+// release draws the arrivals released over elapsed channel time:
+// Poisson(λ′·elapsed), reusing exp(−mean) while the mean repeats.
+func (p *pumpState) release(elapsed float64) int {
+	mean := p.lam * elapsed
 	if mean != p.relMean {
 		p.relMean, p.relExp = mean, math.Exp(-mean)
 	}
-	n := int64(p.rel.PoissonExp(mean, p.relExp))
+	return p.rel.PoissonExp(mean, p.relExp)
+}
+
+// inject hands n released arrivals to the engine, clamped to the owed
+// ledger unless the pump generates its own arrivals.
+func (p *pumpState) inject(n int64) {
 	if !p.o.synthetic {
 		if n > p.owed {
 			n = p.owed
@@ -383,8 +413,6 @@ func (p *pumpState) advance() error {
 		p.owed -= n
 	}
 	p.st.Inject(int(n))
-	p.steps++
-	return nil
 }
 
 // reconfigure swaps the engine for one built from the new options: the
@@ -410,19 +438,21 @@ func (p *pumpState) reconfigure(m ctrlMsg) {
 		return
 	}
 	carry := p.st.Backlog()
-	if _, err := p.st.Finish(); err != nil {
-		// The outgoing engine's books do not balance: surface it to the
-		// caller and keep serving with the fresh engine.
-		m.reply <- fmt.Errorf("finishing previous engine: %w", err)
-	} else {
-		m.reply <- nil
-	}
+	_, err = p.st.Finish()
 	p.st, p.est, p.o, p.lam = st, est, m.opts, m.opts.lambda()
 	if carry > 0 {
 		p.st.Inject(carry)
 	}
+	// Publish the swap before replying: the handler renders the current
+	// options as soon as the reply wakes it.
 	p.s.setOpts(m.opts)
 	p.publish(nil)
+	if err != nil {
+		// The outgoing engine's books do not balance: surface it to the
+		// caller and keep serving with the fresh engine.
+		err = fmt.Errorf("finishing previous engine: %w", err)
+	}
+	m.reply <- err
 }
 
 // drain runs the engine dry: absorb the last ingested arrivals, release
@@ -445,7 +475,7 @@ func (p *pumpState) drain() {
 		if p.owed == 0 && p.st.Backlog() == 0 {
 			break
 		}
-		if err := p.advance(); err != nil {
+		if err := p.step(); err != nil {
 			p.fail(err)
 			return
 		}
@@ -541,8 +571,9 @@ func (s *server) accept(w http.ResponseWriter, n int64) {
 }
 
 // handleIngest accepts newline-delimited JSON records, one batch per
-// line: {"count": N}.  An empty object (or omitted count) means one
-// message.  The whole body is booked atomically at the end.
+// line: {"count": N} with 0 <= N <= 2^32−1.  An empty object (or omitted
+// count) means one message.  The whole body is booked atomically at the
+// end.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(io.LimitReader(r.Body, 16<<20))
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<10)
@@ -565,6 +596,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if n < 0 {
 			http.Error(w, fmt.Sprintf("negative count %d", n), http.StatusBadRequest)
+			return
+		}
+		if n > math.MaxUint32 {
+			// The per-entry bound of the wire protocol and /ingest.bin.  It
+			// keeps the body's total far from int64 overflow: 16 MB holds
+			// fewer than 2^23 records.
+			http.Error(w, fmt.Sprintf("count %d exceeds %d", n, uint32(math.MaxUint32)), http.StatusBadRequest)
 			return
 		}
 		total += n

@@ -308,9 +308,7 @@ func (g *globalState) oneProcess() error {
 		// idle ones included, can be faulted).
 		return g.resolveFaulty(view)
 	}
-	if g.cfg.RateEstimator == nil && g.fastForwardIdle(view) {
-		// (With an estimator, idle probes carry information — they must
-		// be observed one by one, so the fast path is skipped.)
+	if g.fastForwardIdle(view) {
 		return nil
 	}
 	if err := g.res.Reset(g.cfg.Policy, view); err != nil {
@@ -469,26 +467,17 @@ func (g *globalState) deliver(w window.Window, successStart float64) error {
 // arrival.  Skipping them in one step is *exact* — the post-skip protocol
 // state (cleared region, clock, idle-slot count) equals what probe-by-
 // probe execution produces — and it is what makes long lightly-loaded
-// runs (e.g. the M = 100 figure panels) affordable.  Policies with
-// per-decision randomness never take this path: their windows must be
-// drawn one decision at a time to keep the common random sequence
-// aligned.
+// runs (e.g. the M = 100 figure panels) affordable.  Stepper.IdleRun is
+// the same skip for the stepped engine, which cannot know the next
+// arrival and so is handed the run's end by its caller.
 func (g *globalState) fastForwardIdle(view window.View) bool {
-	if g.cfg.DisableFastForward || g.pending.Len() != 0 {
+	if g.cfg.DisableFastForward || math.IsInf(g.nextArr, 1) {
+		// With no known future arrival (external-arrival mode) the skip
+		// would be unbounded; Stepper.IdleRun takes its end from the caller.
 		return false
 	}
-	if _, random := g.cfg.Policy.(window.ForkablePolicy); random {
+	if !g.idleProbe(view) {
 		return false
-	}
-	if math.IsInf(g.nextArr, 1) {
-		// No known future arrival (external-arrival mode): the skip count
-		// would be unbounded, and a server's clock must stay near the
-		// injected stamps, so advance probe by probe instead.
-		return false
-	}
-	w := g.cfg.Policy.InitialWindow(view)
-	if w.Start > view.TPast || w.End < view.TNewest {
-		return false // window would not clear the whole span
 	}
 	// One idle probe clears the span; any further full slots before the
 	// next arrival are idle single-slot probes.  The skip also stops at
@@ -503,12 +492,40 @@ func (g *globalState) fastForwardIdle(view window.View) bool {
 	if skip < 1 {
 		skip = 1
 	}
-	g.rep.IdleSlots += int64(skip)
-	g.col.RecordSlots(metrics.SlotIdle, int64(skip), float64(skip)*g.cfg.Tau)
 	g.now += float64(skip) * g.cfg.Tau
-	g.ffScratch[0] = window.Window{Start: view.TPast, End: g.now - g.cfg.Tau}
-	g.tracker.Commit(g.now, g.ffScratch[:])
+	g.bookIdle(int64(skip), view.TPast, g.now-g.cfg.Tau)
 	return true
+}
+
+// idleProbe reports whether the decision epoch at view is certainly one
+// idle probe that clears the whole unexamined span: nothing is pending,
+// the feedback is perfect, and the policy's initial window covers
+// [TPast, TNewest].  With a rate estimator idle probes carry information
+// and must be observed one by one, and policies with per-decision
+// randomness must draw their windows one decision at a time to keep the
+// common random sequence aligned, so neither qualifies.
+func (g *globalState) idleProbe(view window.View) bool {
+	if g.pending.Len() != 0 || g.inj != nil || g.cfg.RateEstimator != nil {
+		return false
+	}
+	if _, random := g.cfg.Policy.(window.ForkablePolicy); random {
+		return false
+	}
+	if view.TNewest <= view.TPast {
+		return false // the start-up corner: no probe at all
+	}
+	w := g.cfg.Policy.InitialWindow(view)
+	return w.Start <= view.TPast && w.End >= view.TNewest
+}
+
+// bookIdle books k skipped idle probe slots, which ended at the current
+// clock and together cleared [from, to]: the report's idle count, one
+// collector record for all of them, and one tracker commit.
+func (g *globalState) bookIdle(k int64, from, to float64) {
+	g.rep.IdleSlots += k
+	g.col.RecordSlots(metrics.SlotIdle, k, float64(k)*g.cfg.Tau)
+	g.ffScratch[0] = window.Window{Start: from, End: to}
+	g.tracker.Commit(g.now, g.ffScratch[:])
 }
 
 // finishAt classifies the messages still pending at the reference time

@@ -23,7 +23,7 @@ import (
 // A Stepper is not safe for concurrent use; the intended shape is one
 // pump goroutine owning the Stepper, with other goroutines handing it
 // counts through their own synchronization (windowd uses an atomic
-// counter drained once per Step).
+// counter drained once per pump iteration).
 type Stepper struct {
 	g *globalState
 
@@ -90,6 +90,44 @@ func (s *Stepper) Step() error {
 	}
 	s.materialize()
 	return s.g.step()
+}
+
+// IdleRun advances the engine through a run of idle slots in one call and
+// leaves it exactly as the same number of Step calls would, apart from
+// the last bits of the collector's idle time at a non-integer τ (one
+// record of k slots instead of k records).  It applies only when the next
+// Step is certainly one idle probe that clears the whole unexamined span,
+// under the conditions of the batch engine's idle skip (fastForwardIdle)
+// and with nothing injected; otherwise it returns (0, 0) and changes
+// nothing.  After that probe, every slot until the next arrival is one
+// more idle probe of the slot just past, as in the batch skip.
+//
+// The stepped engine cannot know when the next arrival comes, so the
+// caller supplies it: release is called once per slot with the channel
+// time the slot consumed and returns how many arrivals that slot
+// released.  The run stops after the first slot that releases anything,
+// or after limit slots; released is that slot's count, which the caller
+// injects before the next Step.
+func (s *Stepper) IdleRun(limit int, release func(elapsed float64) int) (slots, released int) {
+	g := s.g
+	if s.finished || s.queued != 0 || limit < 1 || g.cfg.DisableFastForward || g.now >= g.cfg.EndTime {
+		return 0, 0
+	}
+	view := g.tracker.View(g.now, g.cfg.Tau, g.cfg.Lambda)
+	if !g.idleProbe(view) {
+		return 0, 0
+	}
+	var last float64 // the clock before the last slot: the probes cleared [TPast, last]
+	for released == 0 && slots < limit && g.now < g.cfg.EndTime {
+		// Successive additions, not slots·τ: Now() must match Step's clock
+		// bit for bit at any τ.
+		last = g.now
+		g.now += g.cfg.Tau
+		slots++
+		released = release(g.now - last)
+	}
+	g.bookIdle(int64(slots), view.TPast, last)
+	return slots, released
 }
 
 // materialize converts the buffered arrival count into arrival stamps.

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"windowctl/internal/fault"
 	"windowctl/internal/metrics"
+	"windowctl/internal/protocol/acdc"
+	"windowctl/internal/protocol/tournament"
 	"windowctl/internal/rngutil"
 	"windowctl/internal/window"
 )
@@ -300,5 +304,172 @@ func TestStepperBurstInjection(t *testing.T) {
 	}
 	if rep.Transmissions == 0 && rep.LostSender == 0 {
 		t.Error("burst produced no protocol activity")
+	}
+}
+
+// IdleRun must refuse — take no slot, call no release, change nothing —
+// whenever the next Step is not certainly one whole-span idle probe.
+// Each case is checked against a twin that never called IdleRun: both
+// are then driven identically and must finish identically.
+func TestStepperIdleRunRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+		setup func(*Stepper)
+	}{
+		{"pending", nil, func(s *Stepper) { s.Inject(3); s.Materialize() }},
+		{"queued", nil, func(s *Stepper) { s.Inject(1) }},
+		{"random", func(c *Config) { c.Policy = directPolicy("random", *c) }, nil},
+		{"tournament", func(c *Config) { c.Policy = directPolicy(tournament.Name, *c) }, nil},
+		{"estimator", func(c *Config) { c.RateEstimator = window.NewRateEstimator(c.Lambda, 200*c.M*c.Tau) }, nil},
+		{"faults", func(c *Config) { c.Faults = fault.Config{Rates: fault.Rates{Erasure: 0.05}, Seed: 42} }, nil},
+		{"horizon", func(c *Config) { c.EndTime = 1 }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*Stepper, *metrics.SlotMetrics) {
+				cfg := stepperConfig()
+				if tc.tweak != nil {
+					tc.tweak(&cfg)
+				}
+				col := metrics.NewSlotMetrics(cfg.Tau, 200)
+				cfg.Collector = col
+				s, err := NewStepper(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first Step spends the start-up slot; after it the
+				// controlled engine of stepperConfig would take an idle run.
+				if err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.setup != nil {
+					tc.setup(s)
+				}
+				return s, col
+			}
+			a, colA := build()
+			b, colB := build()
+			now, backlog := a.Now(), a.Backlog()
+			slots, released := a.IdleRun(100, func(float64) int {
+				t.Fatal("release called by a refused IdleRun")
+				return 0
+			})
+			if slots != 0 || released != 0 {
+				t.Fatalf("IdleRun = (%d, %d), want (0, 0)", slots, released)
+			}
+			if a.Now() != now || a.Backlog() != backlog {
+				t.Fatalf("refused IdleRun moved the engine: now %v→%v, backlog %d→%d", now, a.Now(), backlog, a.Backlog())
+			}
+			if tc.name == "horizon" {
+				return // neither engine can step any further
+			}
+			drive(t, a, stepperConfig().Lambda, 5000, 9)
+			drive(t, b, stepperConfig().Lambda, 5000, 9)
+			repA, errA := a.Finish()
+			repB, errB := b.Finish()
+			if errA != nil || errB != nil {
+				t.Fatalf("Finish: %v, %v", errA, errB)
+			}
+			if !reflect.DeepEqual(repA, repB) || !reflect.DeepEqual(colA, colB) {
+				t.Errorf("a refused IdleRun changed the run:\n got %+v\nwant %+v", repA, repB)
+			}
+		})
+	}
+	// And it refuses nothing else: the same warm engine takes the slots,
+	// up to max, and stops at a finite horizon exactly where Step would.
+	cfg := stepperConfig()
+	cfg.EndTime = 10.5
+	s, err := NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil { // the start-up slot: now = 1
+		t.Fatal(err)
+	}
+	none := func(float64) int { return 0 }
+	if slots, _ := s.IdleRun(7, none); slots != 7 {
+		t.Errorf("IdleRun on an empty controlled engine took %d slots, want max = 7", slots)
+	}
+	if slots, _ := s.IdleRun(100, none); slots != 3 || s.Step() != ErrHorizon {
+		t.Errorf("IdleRun took %d slots to the horizon at 10.5 from t = 8, want 3 and then ErrHorizon", slots)
+	}
+}
+
+// Otherwise IdleRun equals that many Steps: an engine that takes every
+// idle run it can, capped at varying lengths, and one that only Steps,
+// fed the same release draws, reach the same clock and cleared region
+// after every run, and the same report and collector at the end — apart
+// from the last bits of the collector's idle time at a non-integer τ.
+func TestStepperIdleRunMatchesSteps(t *testing.T) {
+	for _, name := range []string{"controlled", "fcfs", "lcfs", acdc.Name} {
+		for _, tau := range []float64{1, 0.37} {
+			t.Run(fmt.Sprintf("%s/tau=%v", name, tau), func(t *testing.T) {
+				cfg := protoTestConfig(31)
+				cfg.Tau, cfg.Lambda, cfg.K = tau, 0.75/(cfg.M*tau), 2*cfg.M*tau
+				cfg.EndTime, cfg.Warmup = 0, 0
+				cfg.Policy = directPolicy(name, cfg)
+				build := func() (*Stepper, *metrics.SlotMetrics, *rngutil.Stream) {
+					c := cfg
+					col := metrics.NewSlotMetrics(c.Tau, 200)
+					c.Collector = col
+					s, err := NewStepper(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s, col, rngutil.New(77)
+				}
+				a, colA, relA := build()
+				b, colB, relB := build()
+
+				step := func(s *Stepper, rel *rngutil.Stream) {
+					before := s.Now()
+					if err := s.Step(); err != nil {
+						t.Fatal(err)
+					}
+					s.Inject(rel.Poisson(cfg.Lambda * (s.Now() - before)))
+				}
+				release := func(elapsed float64) int { return relA.Poisson(cfg.Lambda * elapsed) }
+				runs := 0
+				for i := 0; i < 40000; i++ {
+					slots, k := a.IdleRun(1+i%37, release)
+					if slots == 0 {
+						step(a, relA)
+						step(b, relB)
+						continue
+					}
+					a.Inject(k)
+					for j := 0; j < slots; j++ {
+						step(b, relB)
+					}
+					if a.Now() != b.Now() {
+						t.Fatalf("Now() = %v after a %d-slot idle run, %v after as many Steps", a.Now(), slots, b.Now())
+					}
+					if ca, cb := a.g.tracker.ClearedIntervals(), b.g.tracker.ClearedIntervals(); !reflect.DeepEqual(ca, cb) {
+						t.Fatalf("cleared region %#v after a %d-slot idle run, %#v after as many Steps", ca, slots, cb)
+					}
+					runs++
+				}
+				if runs == 0 {
+					t.Fatal("no idle run was taken")
+				}
+				repA, errA := a.Finish()
+				repB, errB := b.Finish()
+				if errA != nil || errB != nil {
+					t.Fatalf("Finish: %v, %v", errA, errB)
+				}
+				if !reflect.DeepEqual(repA, repB) {
+					t.Errorf("report diverged:\n got %+v\nwant %+v", repA, repB)
+				}
+				if tau != 1 {
+					if d := math.Abs(colA.IdleTime - colB.IdleTime); d > 1e-9*colB.IdleTime {
+						t.Errorf("collector idle time %v after idle runs, %v after Steps", colA.IdleTime, colB.IdleTime)
+					}
+					colA.IdleTime = colB.IdleTime
+				}
+				if !reflect.DeepEqual(colA, colB) {
+					t.Errorf("collector diverged:\n got %+v\nwant %+v", colA.Snapshot(), colB.Snapshot())
+				}
+			})
+		}
 	}
 }
