@@ -85,10 +85,14 @@ func Global() []GlobalCase {
 // stable figure-7 regime) while the population grows a thousandfold, so
 // any per-slot cost that is secretly O(M) — the old engine's window
 // counting and feedback fan-out were — shows up as a thousandfold
-// ns/message blowup instead of hiding inside a single point.
+// ns/message blowup instead of hiding inside a single point.  m1e6's
+// ~4000 messages leave its time dominated by the station-bank build, so
+// m1e6-long runs the same point ten times longer (~40 000 messages),
+// where the steady-state slot path carries most of the time and the
+// regression gate can see it.
 func Multi() []MultiCase {
 	g := window.FixedG(2.6)
-	mScale := func(name string, stations int, seed uint64) MultiCase {
+	mScale := func(name string, stations int, seed uint64, end float64) MultiCase {
 		return MultiCase{
 			Name: name,
 			Cfg: sim.MultiConfig{
@@ -98,7 +102,7 @@ func Multi() []MultiCase {
 					M:       25,
 					Lambda:  0.5 / 25,
 					K:       50,
-					EndTime: 2e5,
+					EndTime: end,
 					Seed:    seed,
 				},
 				Stations: stations,
@@ -136,9 +140,10 @@ func Multi() []MultiCase {
 				Stations: 16,
 			},
 		},
-		mScale("m1e3", 1_000, 113),
-		mScale("m1e5", 100_000, 127),
-		mScale("m1e6", 1_000_000, 131),
+		mScale("m1e3", 1_000, 113, 2e5),
+		mScale("m1e5", 100_000, 127, 2e5),
+		mScale("m1e6", 1_000_000, 131, 2e5),
+		mScale("m1e6-long", 1_000_000, 131, 2e6),
 	}
 }
 

@@ -54,22 +54,27 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 // TestMultiStepZeroAlloc extends the contract to the shared-state
 // multi-station fast path: once the Bank's arrival heap, the pending
 // multiset and the resolver scratch have reached their working sizes, a
-// kernel step (one protocol slot, including the sampled lockstep check)
-// allocates nothing.  Run with both event-queue backends so the calendar
-// bucket rings are covered too.
+// kernel step (one protocol slot, including the sampled lockstep check,
+// or one run of idle slots) allocates nothing.  Run with both event-queue
+// backends so the calendar bucket rings are covered too.  Lockstep
+// shadows make the engine refuse idle runs, so the lockstep-off subtests
+// are the ones that pin the run path.
 func TestMultiStepZeroAlloc(t *testing.T) {
 	for _, q := range []struct {
-		name string
-		kind des.QueueKind
+		name     string
+		kind     des.QueueKind
+		lockstep bool
 	}{
-		{"heap", des.QueueHeap},
-		{"calendar", des.QueueCalendar},
+		{"heap", des.QueueHeap, true},
+		{"calendar", des.QueueCalendar, true},
+		{"heap/nolockstep", des.QueueHeap, false},
+		{"calendar/nolockstep", des.QueueCalendar, false},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			cfg := MultiConfig{
 				Config:         allocConfig,
 				Stations:       64,
-				VerifyLockstep: true,
+				VerifyLockstep: q.lockstep,
 				EventQueue:     q.kind,
 			}
 			m, err := newMultiState(cfg)
@@ -85,6 +90,7 @@ func TestMultiStepZeroAlloc(t *testing.T) {
 					t.Fatal(m.runErr)
 				}
 			}
+			runs := m.idleRuns
 			avg := testing.AllocsPerRun(100000, func() {
 				if !m.kernel.Step() {
 					t.Fatal("kernel drained during measurement")
@@ -95,6 +101,9 @@ func TestMultiStepZeroAlloc(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Fatalf("steady-state multi slot allocates %v times per run; the decision-epoch hot path must be allocation-free", avg)
+			}
+			if took := m.idleRuns > runs; took == q.lockstep {
+				t.Fatalf("idle runs taken during the measurement: %v, want %v", took, !q.lockstep)
 			}
 		})
 	}

@@ -44,8 +44,12 @@ type Config struct {
 	// 0 means 1<<20.
 	MaxBacklog int
 	// DisableFastForward forces probe-by-probe execution of idle periods.
-	// The fast-forward is exact (the tests verify run-for-run equality),
-	// so this exists only for that verification and for debugging.
+	// The fast-forward is exact where sums of τ are exact (τ = 1, which
+	// the tests verify run for run): it moves the clock by one product
+	// k·τ, which at other τ can differ in the last bits from the k
+	// successive additions probe-by-probe execution makes, and the report's
+	// float statistics then differ in their last bits too.  This exists
+	// for that verification and for debugging.
 	DisableFastForward bool
 	// TxLengths, when non-nil, draws each message's transmission time
 	// from this law instead of the constant M·τ (Theorem 1 only asks
@@ -464,12 +468,17 @@ func (g *globalState) deliver(w window.Window, successStart float64) error {
 // and the policy's next initial window covers the entire unexamined span,
 // the probe is certainly idle and examines everything up to now; the
 // protocol then repeats one such whole-span probe per slot until the next
-// arrival.  Skipping them in one step is *exact* — the post-skip protocol
-// state (cleared region, clock, idle-slot count) equals what probe-by-
-// probe execution produces — and it is what makes long lightly-loaded
-// runs (e.g. the M = 100 figure panels) affordable.  Stepper.IdleRun is
-// the same skip for the stepped engine, which cannot know the next
-// arrival and so is handed the run's end by its caller.
+// arrival.  Skipping them in one step is what makes long lightly-loaded
+// runs (e.g. the M = 100 figure panels) affordable.  The skip is exact
+// where sums of τ are exact: the post-skip protocol state (cleared
+// region, clock, idle-slot count) then equals what probe-by-probe
+// execution produces.  It moves the clock by one product skip·τ, so at
+// a τ such as 0.37 the clock, and every wait measured against it, can
+// differ from probe-by-probe execution in the last bits; a successive-
+// addition loop would be exact at any τ, at the cost of a per-slot
+// arrival check.  Stepper.IdleRun is the same skip for the stepped
+// engine, which cannot know the next arrival and so is handed the run's
+// end by its caller.
 func (g *globalState) fastForwardIdle(view window.View) bool {
 	if g.cfg.DisableFastForward || math.IsInf(g.nextArr, 1) {
 		// With no known future arrival (external-arrival mode) the skip
@@ -499,22 +508,33 @@ func (g *globalState) fastForwardIdle(view window.View) bool {
 
 // idleProbe reports whether the decision epoch at view is certainly one
 // idle probe that clears the whole unexamined span: nothing is pending,
-// the feedback is perfect, and the policy's initial window covers
-// [TPast, TNewest].  With a rate estimator idle probes carry information
-// and must be observed one by one, and policies with per-decision
-// randomness must draw their windows one decision at a time to keep the
-// common random sequence aligned, so neither qualifies.
+// the feedback is perfect, and the policy sweeps the span (sweepsSpan).
+// With a rate estimator idle probes carry information and must be
+// observed one by one, so it does not qualify.
 func (g *globalState) idleProbe(view window.View) bool {
-	if g.pending.Len() != 0 || g.inj != nil || g.cfg.RateEstimator != nil {
-		return false
-	}
-	if _, random := g.cfg.Policy.(window.ForkablePolicy); random {
+	return g.pending.Len() == 0 && g.inj == nil && g.cfg.RateEstimator == nil && sweepsSpan(g.cfg.Policy, view)
+}
+
+// sweepsSpan is the policy half of the idle skips of every engine
+// (globalState.idleProbe, Stepper.IdleRun, multiState.idleRun): it
+// reports whether the policy's initial window at view covers the whole
+// unexamined span [TPast, TNewest].  With nothing pending and perfect
+// feedback that probe is certainly idle and clears everything up to
+// now, and every later slot until the next arrival is one more such
+// probe of the slot just past.  (The skips assume the policy also
+// covers that one-slot span, which is no longer than the first: true of
+// every length rule that does not depend on the view.)  Policies with
+// per-decision randomness must draw their windows one decision at a
+// time to keep the common random sequence aligned, so they never
+// qualify.
+func sweepsSpan(p window.Policy, view window.View) bool {
+	if _, random := p.(window.ForkablePolicy); random {
 		return false
 	}
 	if view.TNewest <= view.TPast {
 		return false // the start-up corner: no probe at all
 	}
-	w := g.cfg.Policy.InitialWindow(view)
+	w := p.InitialWindow(view)
 	return w.Start <= view.TPast && w.End >= view.TNewest
 }
 

@@ -136,6 +136,11 @@ type multiState struct {
 	shadowPols []window.Policy
 	lockEvery  int64
 	probeSlots int64
+
+	// idleRuns counts the runs of idle slots taken in one kernel event
+	// (idleRun); runScratch keeps its tracker commit slice-literal-free.
+	idleRuns   int64
+	runScratch [1]window.Window
 }
 
 // RunMultiStation simulates the distributed protocol and returns the
@@ -302,7 +307,7 @@ func (m *multiState) checkLockstep() bool {
 			}
 		}
 		if bad {
-			m.fail(fmt.Errorf("sim: shadow station %d diverged from the shared resolver — lockstep broken", i))
+			m.fail(fmt.Errorf("sim: shadow station %d diverged from the shared resolver at probe slot %d — lockstep broken", i, m.probeSlots))
 			return false
 		}
 	}
@@ -332,9 +337,13 @@ func (m *multiState) slot() {
 
 	if !m.inProcess {
 		// The common decision epoch.
-		if !m.beginProcess(now) {
+		v := m.decisionView(now)
+		if v.TNewest-v.TPast <= 0 {
 			// Nothing unexamined yet: idle for one slot.
 			m.kernel.ScheduleAfter(m.cfg.Tau, 0, m.slotFn)
+			return
+		}
+		if m.idleRun(now, v) || !m.beginProcess(v) {
 			return
 		}
 	}
@@ -420,17 +429,52 @@ func (m *multiState) faultySlot(now float64) {
 	m.kernel.ScheduleAfter(dur, 0, m.slotFn)
 }
 
-// beginProcess performs the common decision epoch: sender discard, view
-// construction and resolver recycling.  It returns false when there is
-// nothing to examine yet.
-func (m *multiState) beginProcess(now float64) bool {
+// decisionView performs the first half of the common decision epoch:
+// sender discard and view construction.
+func (m *multiState) decisionView(now float64) window.View {
 	if m.cfg.Policy.Discards() {
 		m.bank.DiscardBelowFunc(m.tracker.Horizon(now), m.discardFn)
 	}
-	v := m.tracker.View(now, m.cfg.Tau, m.cfg.Lambda)
-	if v.TNewest-v.TPast <= 0 {
+	return m.tracker.View(now, m.cfg.Tau, m.cfg.Lambda)
+}
+
+// idleRun takes a run of idle slots in one kernel event, the global
+// engine's idle skip: when nothing is pending, the feedback is perfect,
+// no lockstep shadow must see the probes and the policy sweeps the
+// unexamined span (sweepsSpan), the slot at now is certainly one idle
+// probe that clears everything up to now, and so is every later slot
+// until the next arrival.  The run books those slots on the channel one
+// by one, as slot-by-slot execution does, commits their cleared span
+// once and schedules the slot after them.  It returns false, changing
+// nothing, when the epoch does not qualify.
+func (m *multiState) idleRun(now float64, v window.View) bool {
+	if m.bank.Len() != 0 || m.inj != nil || len(m.shadows) != 0 || !sweepsSpan(m.policy, v) {
 		return false
 	}
+	tau, end, arrival := m.cfg.Tau, m.cfg.EndTime, m.bank.NextArrivalAt()
+	t, k := now, int64(1)
+	m.ch.ResolveSlot(0)
+	// The slot at next runs iff next < EndTime, and its GenerateUntil
+	// materializes the next arrival iff arrival <= next.  The clock moves
+	// by successive additions, as ScheduleAfter moves it, so every slot
+	// time matches slot-by-slot execution bit for bit.
+	for next := t + tau; next < end && next < arrival; next = t + tau {
+		t = next
+		k++
+		m.ch.ResolveSlot(0)
+	}
+	m.probeSlots += k
+	m.idleRuns++
+	m.runScratch[0] = window.Window{Start: v.TPast, End: t}
+	m.tracker.Commit(t+tau, m.runScratch[:])
+	m.kernel.Schedule(t+tau, 0, m.slotFn)
+	return true
+}
+
+// beginProcess performs the second half of the common decision epoch,
+// recycling the resolver (and the lockstep shadows) for view v.  It
+// returns false when the run has failed.
+func (m *multiState) beginProcess(v window.View) bool {
 	if m.inj != nil {
 		// Phantom-split give-up bound: false collisions otherwise
 		// spiral to the depth bound (see globalState.resolveFaulty).

@@ -8,19 +8,26 @@ package sim
 // representation.
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"windowctl/internal/des"
+	"windowctl/internal/metrics"
+	"windowctl/internal/rngutil"
 	"windowctl/internal/station"
+	"windowctl/internal/window"
 )
 
 // engineCase builds a fresh config per run: policies can carry stateful
 // common-randomness streams, so sharing one config value across runs
-// would let the first run perturb the second.
+// would let the first run perturb the second.  idle says whether the
+// shared path takes idle runs (multiState.idleRun) on the case.
 type engineCase struct {
 	name string
 	mk   func() MultiConfig
+	idle bool
 }
 
 func engineCases() []engineCase {
@@ -41,27 +48,119 @@ func engineCases() []engineCase {
 		}
 	}
 	return []engineCase{
-		{"controlled", func() MultiConfig { return base("controlled", 2718, 8) }},
-		{"random", func() MultiConfig { return base("random", 2719, 8) }},
-		{"fcfs", func() MultiConfig { return base("fcfs", 2720, 8) }},
+		{"controlled", func() MultiConfig { return base("controlled", 2718, 8) }, false},
+		{"random", func() MultiConfig { return base("random", 2719, 8) }, false},
+		{"fcfs", func() MultiConfig { return base("fcfs", 2720, 8) }, false},
 		{"faults/common", func() MultiConfig {
 			cfg := base("controlled", 2818, 8)
 			cfg.Faults = goldenFaultMix
 			return cfg
-		}},
+		}, false},
 		{"arrivals/onoff", func() MultiConfig {
 			cfg := base("controlled", 3318, 8)
 			cfg.Arrivals = onOffArrivals(8, cfg.Lambda)
 			return cfg
-		}},
+		}, false},
 		{"m1000", func() MultiConfig {
 			cfg := base("controlled", 3518, 1000)
 			cfg.Lambda = 0.5 / 25
 			cfg.EndTime = 5000
 			cfg.Warmup = 500
 			return cfg
-		}},
+		}, false},
 	}
+}
+
+// idleRunCases reach the shared path's idle runs, which every
+// engineCase refuses because it verifies lockstep: a lockstep-off twin
+// of each engine case (the random and faulted twins still refuse),
+// arrivals exactly on slot times, and light loads at a non-integer τ or
+// with an EndTime off the slot grid, where a run's successive-addition
+// clock and its stop rule decide whether it keeps the dense engine's
+// slot times.
+func idleRunCases() []engineCase {
+	var cases []engineCase
+	for _, c := range engineCases() {
+		mk := c.mk
+		cfg := mk()
+		_, random := cfg.Policy.(window.ForkablePolicy)
+		cases = append(cases, engineCase{c.name + "/nolockstep", func() MultiConfig {
+			cfg := mk()
+			cfg.VerifyLockstep = false
+			return cfg
+		}, !random && !cfg.Faults.Enabled()})
+	}
+	light := func(name, pol string, seed uint64, tau, rho, end float64) engineCase {
+		return engineCase{name, func() MultiConfig {
+			return MultiConfig{
+				Config: Config{
+					Policy:  goldenPolicy(pol, 31),
+					Tau:     tau,
+					M:       25,
+					Lambda:  rho / (25 * tau),
+					K:       50 * tau,
+					EndTime: end,
+					Warmup:  end / 10,
+					Seed:    seed,
+				},
+				Stations: 8,
+			}
+		}, true}
+	}
+	return append(cases,
+		engineCase{"arrivals/on-grid", onGridMulti, true},
+		light("tau0.37", "controlled", 4118, 0.37, 0.6, 20000*0.37),
+		light("tau0.37/lcfs", "lcfs", 4119, 0.37, 0.6, 20000*0.37),
+		light("rho0.1", "controlled", 4120, 1, 0.1, 20000),
+		light("rho0.1/tau0.37/fcfs", "fcfs", 4121, 0.37, 0.1, 20000*0.37),
+		light("end-offgrid", "controlled", 4122, 1, 0.5, 20000.5),
+		light("end-offgrid/tau0.37/variant", "variant", 4123, 0.37, 0.3, 7400.2),
+	)
+}
+
+// onGridGaps is an arrival process with a constant gap.
+type onGridGaps float64
+
+func (g onGridGaps) NextGap(*rngutil.Stream) float64 { return float64(g) }
+func (g onGridGaps) String() string                  { return fmt.Sprintf("every %v", float64(g)) }
+
+// onGridMulti puts every arrival exactly on a slot time (τ = 1, integer
+// gaps 89 and 97, which first coincide after EndTime): slot-by-slot
+// execution materializes such an arrival at that very slot, so an idle
+// run must stop short of it.
+func onGridMulti() MultiConfig {
+	return MultiConfig{
+		Config: Config{
+			Policy:  goldenPolicy("controlled", 31),
+			Tau:     1,
+			M:       25,
+			Lambda:  1.0/89 + 1.0/97,
+			K:       50,
+			EndTime: 8000,
+			Warmup:  800,
+			Seed:    4124,
+		},
+		Stations: 2,
+		Arrivals: func(i int) station.ArrivalProcess { return onGridGaps(89 + 8*i) },
+	}
+}
+
+// runShared runs cfg on the shared path and returns its report's
+// fingerprint and the number of idle runs the engine took.
+func runShared(t *testing.T, cfg MultiConfig) (string, int64) {
+	t.Helper()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMultiState(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenFingerprint(rep), m.idleRuns
 }
 
 func mustFingerprint(t *testing.T, cfg MultiConfig) string {
@@ -73,15 +172,35 @@ func mustFingerprint(t *testing.T, cfg MultiConfig) string {
 	return goldenFingerprint(rep)
 }
 
-// TestMultiSharedMatchesDense pins the fast path to the reference engine.
+// TestMultiSharedMatchesDense pins the fast path to the reference engine,
+// on the idle-run path too, collector included where one is attached.
+// Turning lockstep verification on or off must not move the shared
+// report: it only adds shadows, and they make the engine refuse runs.
 func TestMultiSharedMatchesDense(t *testing.T) {
-	for _, c := range engineCases() {
+	for _, c := range append(engineCases(), idleRunCases()...) {
 		t.Run(c.name, func(t *testing.T) {
-			shared := mustFingerprint(t, c.mk())
+			cfg := c.mk()
+			col := metrics.NewSlotMetrics(cfg.Tau, 64)
+			cfg.Collector = col
+			shared, runs := runShared(t, cfg)
+			if (runs > 0) != c.idle {
+				t.Errorf("shared path took %d idle runs; want runs = %v", runs, c.idle)
+			}
 			dense := c.mk()
+			denseCol := metrics.NewSlotMetrics(dense.Tau, 64)
+			dense.Collector = denseCol
 			dense.forceDense = true
 			if got := mustFingerprint(t, dense); got != shared {
 				t.Errorf("dense engine diverged from shared fast path:\nshared: %s\ndense:  %s", shared, got)
+			}
+			if !reflect.DeepEqual(col, denseCol) {
+				t.Errorf("dense engine's collector diverged from the shared path's:\nshared: %+v\ndense:  %+v", col.Snapshot(), denseCol.Snapshot())
+			}
+			flip := c.mk()
+			flip.VerifyLockstep = !flip.VerifyLockstep
+			if got, _ := runShared(t, flip); got != shared {
+				t.Errorf("VerifyLockstep=%v moved the shared report:\n%v: %s\n%v: %s",
+					flip.VerifyLockstep, !flip.VerifyLockstep, shared, flip.VerifyLockstep, got)
 			}
 		})
 	}
@@ -114,7 +233,7 @@ func TestMultiWorkersBitIdentical(t *testing.T) {
 // heap kernel: both dispatch in identical order, so the whole simulation
 // must not depend on the backend.
 func TestMultiEventQueueBitIdentical(t *testing.T) {
-	for _, c := range engineCases()[:2] {
+	for _, c := range append(engineCases()[:2], idleRunCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			want := mustFingerprint(t, c.mk())
 			cfg := c.mk()

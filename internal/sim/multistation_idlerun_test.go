@@ -1,0 +1,181 @@
+package sim
+
+// Regression tests for the shared path's idle runs (multiState.idleRun).
+// Each failure message names the wrong output the bug would produce;
+// the path taken is read from the engine's unexported run count.
+
+import (
+	"strings"
+	"testing"
+
+	"windowctl/internal/protocol/tournament"
+)
+
+// lightMulti is a shared-path run at ρ′ = 0.1 whose EndTime is off the
+// slot grid: arrivals are ~250 slots apart, so most of the run is idle
+// runs, and the last one ends at EndTime rather than at an arrival.
+func lightMulti(tau float64) MultiConfig {
+	return MultiConfig{
+		Config: Config{
+			Policy:  goldenPolicy("controlled", 31),
+			Tau:     tau,
+			M:       25,
+			Lambda:  0.1 / (25 * tau),
+			K:       50 * tau,
+			EndTime: 20000.5 * tau,
+			Warmup:  2000 * tau,
+			Seed:    5150,
+		},
+		Stations: 8,
+	}
+}
+
+// TestMultiIdleRunRefuses pins the cases where slot-by-slot execution is
+// not one idle probe of the whole span per slot, so no run may be taken.
+func TestMultiIdleRunRefuses(t *testing.T) {
+	if _, runs := runShared(t, lightMulti(1)); runs == 0 {
+		t.Fatal("the light controlled run took no idle runs, so the refusals below prove nothing")
+	}
+	for _, tc := range []struct {
+		name, wrong string
+		tweak       func(*MultiConfig)
+	}{
+		{"lockstep", "the shadows would miss the run's idle feedback and the sampled check would compare stale state",
+			func(c *MultiConfig) { c.VerifyLockstep = true }},
+		{"faults/common", "a faulted idle probe would be skipped, so the fault schedule and the report would drift from the dense engine",
+			func(c *MultiConfig) { c.Faults = goldenFaultMix }},
+		{"random", "the policy's common random stream would skip the draws of the run's windows",
+			func(c *MultiConfig) { c.Policy = goldenPolicy("random", 31) }},
+		{"tournament", "the policy's common random stream would skip the draws of the run's windows",
+			func(c *MultiConfig) { c.Policy = directPolicy(tournament.Name, c.Config) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lightMulti(1)
+			tc.tweak(&cfg)
+			if _, runs := runShared(t, cfg); runs != 0 {
+				t.Errorf("took %d idle runs; %s", runs, tc.wrong)
+			}
+		})
+	}
+
+	t.Run("backlog", func(t *testing.T) {
+		m := stepLight(t, lightMulti(1), func(m *multiState, runSlots int64) {
+			if runSlots > 0 && m.bank.Len() != 0 {
+				t.Fatalf("idle run taken at t=%v with %d messages pending: the run books their probe idle, and they wait past it instead of being transmitted",
+					m.kernel.Now(), m.bank.Len())
+			}
+		})
+		if m.idleRuns == 0 {
+			t.Fatal("no idle run taken")
+		}
+	})
+
+	t.Run("desync", func(t *testing.T) {
+		// TestMultiLockstepCatchesInjectedDesync's shared run: with
+		// shadows no run is taken, so the corrupted probe 97 is still
+		// fed to the shadow and the check fails at that very slot.
+		cfg := engineCases()[0].mk()
+		cfg.lockstepFaultAt = 97
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := newMultiState(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.run()
+		if err == nil || !strings.Contains(err.Error(), "at probe slot 97 ") {
+			t.Fatalf("injected desync at probe slot 97 reported as %v; want the lockstep failure at probe slot 97", err)
+		}
+		if m.idleRuns != 0 {
+			t.Errorf("took %d idle runs with lockstep shadows", m.idleRuns)
+		}
+	})
+
+	// Where a run ends: its last slot lies before both EndTime and the
+	// next arrival, and the slot it schedules reaches one of them.  A run
+	// that went one slot further would book the probe that finds the
+	// arrival as idle (or a slot past EndTime, where the dense engine
+	// runs none); one that stopped short would only cost speed.
+	for _, c := range []struct {
+		name string
+		cfg  MultiConfig
+	}{
+		{"tau=1", lightMulti(1)},
+		{"tau=0.37", lightMulti(0.37)},
+		{"on-grid", onGridMulti()},
+	} {
+		t.Run("stops/"+c.name, func(t *testing.T) {
+			cfg := c.cfg
+			var atArrival, atEnd int
+			var pending bool // a run was taken in the previous kernel step
+			var last float64 // its last slot
+			var nextArr float64
+			stepLight(t, cfg, func(m *multiState, runSlots int64) {
+				now := m.kernel.Now()
+				if pending {
+					pending = false
+					if now != last+cfg.Tau {
+						t.Fatalf("the slot after a run ending at %v is at %v, want %v", last, now, last+cfg.Tau)
+					}
+					switch {
+					case now >= cfg.EndTime:
+						atEnd++
+					case now >= nextArr:
+						atArrival++
+					default:
+						t.Fatalf("run stopped at %v with the next slot %v idle (next arrival %v, EndTime %v)", last, now, nextArr, cfg.EndTime)
+					}
+				}
+				if runSlots == 0 {
+					return
+				}
+				// The run's slot times, added as the kernel adds them.
+				last = now
+				for i := int64(1); i < runSlots; i++ {
+					last += cfg.Tau
+				}
+				nextArr = m.bank.NextArrivalAt()
+				if last >= nextArr {
+					t.Fatalf("run booked the slot at %v idle, but slot-by-slot execution materializes the arrival at %v by then, and that slot probes a non-empty backlog", last, nextArr)
+				}
+				if last >= cfg.EndTime {
+					t.Fatalf("run booked a slot at %v, past EndTime %v where the dense engine runs none", last, cfg.EndTime)
+				}
+				pending = true
+			})
+			if atArrival == 0 || atEnd != 1 {
+				t.Errorf("runs stopped %d times at an arrival and %d times at EndTime; want some and exactly 1", atArrival, atEnd)
+			}
+		})
+	}
+}
+
+// stepLight drives cfg's shared engine one kernel event at a time to the
+// end of its events, calling after with the number of slots of the idle
+// run that event took (0 if it took none).
+func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, runSlots int64)) *multiState {
+	t.Helper()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMultiState(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.kernel.Schedule(0, 0, m.slotFn)
+	for {
+		runs, probes := m.idleRuns, m.probeSlots
+		if !m.kernel.Step() {
+			return m
+		}
+		if m.runErr != nil {
+			t.Fatal(m.runErr)
+		}
+		var runSlots int64
+		if m.idleRuns != runs {
+			runSlots = m.probeSlots - probes
+		}
+		after(m, runSlots)
+	}
+}
