@@ -62,7 +62,7 @@ func BenchmarkRunGlobal(b *testing.B) {
 	}
 }
 
-// BenchmarkRunMultiStation is the discrete-event-engine counterpart of
+// BenchmarkRunMultiStation is the multi-station-engine counterpart of
 // BenchmarkRunGlobal.
 func BenchmarkRunMultiStation(b *testing.B) {
 	for _, c := range benchcase.Multi() {

@@ -78,7 +78,7 @@ func Global() []GlobalCase {
 	}
 }
 
-// Multi returns the multi-station (discrete-event) engine workloads.
+// Multi returns the multi-station engine workloads.
 //
 // The two backlog cases mirror the global pair at a small population;
 // the M-scaling trio holds the operating point fixed (ρ′ = 0.5, the

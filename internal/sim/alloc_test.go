@@ -10,7 +10,6 @@ package sim
 import (
 	"testing"
 
-	"windowctl/internal/des"
 	"windowctl/internal/window"
 )
 
@@ -54,47 +53,43 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 // TestMultiStepZeroAlloc extends the contract to the shared-state
 // multi-station fast path: once the Bank's arrival heap, the pending
 // multiset and the resolver scratch have reached their working sizes, a
-// kernel step (one protocol slot, including the sampled lockstep check,
-// or one run of idle slots) allocates nothing.  Run with both event-queue
-// backends so the calendar bucket rings are covered too.  Lockstep
-// shadows make the engine refuse idle runs, so the lockstep-off subtests
-// are the ones that pin the run path.
+// step (one protocol slot, including the sampled lockstep check, or one
+// run of idle slots) allocates nothing.  Lockstep shadows make the engine
+// refuse idle runs, so the lockstep-off subtest is the one that pins the
+// run path.
 func TestMultiStepZeroAlloc(t *testing.T) {
 	for _, q := range []struct {
 		name     string
-		kind     des.QueueKind
 		lockstep bool
 	}{
-		{"heap", des.QueueHeap, true},
-		{"calendar", des.QueueCalendar, true},
-		{"heap/nolockstep", des.QueueHeap, false},
-		{"calendar/nolockstep", des.QueueCalendar, false},
+		{"lockstep", true},
+		{"nolockstep", false},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			cfg := MultiConfig{
 				Config:         allocConfig,
 				Stations:       64,
 				VerifyLockstep: q.lockstep,
-				EventQueue:     q.kind,
 			}
 			m, err := newMultiState(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.kernel.Schedule(0, 0, m.slotFn)
 			for i := 0; i < 200000; i++ {
-				if !m.kernel.Step() {
-					t.Fatal("kernel drained during warmup")
+				if m.now >= cfg.EndTime {
+					t.Fatal("run ended during warmup")
 				}
+				m.step()
 				if m.runErr != nil {
 					t.Fatal(m.runErr)
 				}
 			}
 			runs := m.idleRuns
 			avg := testing.AllocsPerRun(100000, func() {
-				if !m.kernel.Step() {
-					t.Fatal("kernel drained during measurement")
+				if m.now >= cfg.EndTime {
+					t.Fatal("run ended during measurement")
 				}
+				m.step()
 				if m.runErr != nil {
 					t.Fatal(m.runErr)
 				}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"windowctl/internal/channel"
-	"windowctl/internal/des"
 	"windowctl/internal/rngutil"
 	"windowctl/internal/station"
 	"windowctl/internal/stats"
@@ -84,7 +83,11 @@ type HeterogeneousConfig struct {
 
 // StationReport carries per-station outcome counts.
 type StationReport struct {
-	// Offered counts measured arrivals at this station.
+	// Offered counts this station's measured decided messages (the sum
+	// of the four outcomes below).  Measured messages still pending at
+	// the end of the run are censored and appear only in the aggregate
+	// Report, so the per-station values can sum to less than
+	// Report.Offered.
 	Offered int64
 	// AcceptedInTime, LostSender, LostLate and LostPending partition the
 	// decided messages as in Report.
@@ -116,16 +119,24 @@ type HeterogeneousReport struct {
 // a probe containing its message (the message region is then marked clear
 // by everyone and the message strands until the end of the run) or answer
 // a probe it should not (extra collisions).  Stranded messages are
-// counted lost when their age exceeds K.
+// counted lost when their age exceeds K.  Fault injection and a
+// Collector are not modelled, nor are the global simulator's TxLengths,
+// RateEstimator and ExternalArrivals; setting any of them is an error.
 func RunHeterogeneous(cfg HeterogeneousConfig) (HeterogeneousReport, error) {
 	if err := cfg.validate(); err != nil {
 		return HeterogeneousReport{}, err
+	}
+	if err := cfg.rejectGlobalOnly(); err != nil {
+		return HeterogeneousReport{}, err
+	}
+	if cfg.Faults.Enabled() || cfg.Collector != nil {
+		return HeterogeneousReport{}, fmt.Errorf("sim: RunHeterogeneous supports neither Faults nor a Collector")
 	}
 	n := len(cfg.Transforms)
 	if n < 1 {
 		return HeterogeneousReport{}, fmt.Errorf("sim: need at least one transform/station")
 	}
-	h := &heteroState{cfg: cfg, kernel: des.New(), ch: channel.New(cfg.Tau, cfg.M*cfg.Tau)}
+	h := &heteroState{cfg: cfg, ch: channel.New(cfg.Tau, cfg.M*cfg.Tau)}
 	h.rep.Report.WaitHist = stats.NewHistogram(cfg.Tau, int(cfg.K/cfg.Tau)+64)
 	h.rep.Stations = make([]StationReport, n)
 	root := rngutil.New(cfg.Seed)
@@ -151,10 +162,13 @@ func RunHeterogeneous(cfg HeterogeneousConfig) (HeterogeneousReport, error) {
 		}
 	}
 
-	h.slotFn = h.slot
-
-	h.kernel.Schedule(0, 0, h.slotFn)
-	h.kernel.RunUntil(cfg.EndTime)
+	for now := 0.0; h.runErr == nil && now < cfg.EndTime; {
+		next := h.slot(now)
+		if h.runErr == nil {
+			h.runErr = clockStep(now, next)
+		}
+		now = next
+	}
 	if h.runErr != nil {
 		return h.rep, h.runErr
 	}
@@ -164,7 +178,6 @@ func RunHeterogeneous(cfg HeterogeneousConfig) (HeterogeneousReport, error) {
 
 type heteroState struct {
 	cfg        HeterogeneousConfig
-	kernel     *des.Simulator
 	ch         *channel.Channel
 	stations   []*station.Station
 	transforms []Transform
@@ -176,18 +189,16 @@ type heteroState struct {
 	lastTxEnd  float64
 	runErr     error
 	discardFn  func(station.Message)
-	slotFn     func() // h.slot bound once; a fresh method value per Schedule would allocate every slot
 }
 
 func (h *heteroState) measured(arrival float64) bool {
 	return arrival >= h.cfg.Warmup && arrival < h.cfg.EndTime
 }
 
-func (h *heteroState) slot() {
-	now := h.kernel.Now()
-	if now >= h.cfg.EndTime {
-		return
-	}
+// slot executes the protocol slot at now and returns the time of the
+// next slot.  On failure it sets runErr and the returned time is
+// meaningless.
+func (h *heteroState) slot(now float64) float64 {
 	backlog := 0
 	for _, s := range h.stations {
 		s.GenerateUntil(now)
@@ -199,8 +210,7 @@ func (h *heteroState) slot() {
 	// aborts such runs just as the other engines do.
 	if backlog > h.maxBacklog {
 		h.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", h.maxBacklog, now)
-		h.kernel.Stop()
-		return
+		return now
 	}
 
 	if !h.inProcess {
@@ -216,13 +226,11 @@ func (h *heteroState) slot() {
 		// window.View.MinSplitLen).
 		view.MinSplitLen = h.cfg.Tau / 1024
 		if view.TNewest-view.TPast <= 0 {
-			h.kernel.ScheduleAfter(h.cfg.Tau, 0, h.slotFn)
-			return
+			return now + h.cfg.Tau
 		}
 		if err := h.resolver.Reset(h.cfg.Policy, view); err != nil {
 			h.runErr = err
-			h.kernel.Stop()
-			return
+			return now
 		}
 		h.inProcess = true
 	}
@@ -248,8 +256,7 @@ func (h *heteroState) slot() {
 		msg, ok := h.stations[txStation].PopOldestIn(member)
 		if !ok {
 			h.runErr = fmt.Errorf("sim: heterogeneous success without a message")
-			h.kernel.Stop()
-			return
+			return now
 		}
 		h.rep.Transmissions++
 		trueWait := now - msg.Arrival
@@ -274,7 +281,7 @@ func (h *heteroState) slot() {
 		h.tracker.Commit(now+dur, h.resolver.Examined())
 		h.inProcess = false
 	}
-	h.kernel.ScheduleAfter(dur, 0, h.slotFn)
+	return now + dur
 }
 
 func (h *heteroState) finish() {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"windowctl/internal/channel"
-	"windowctl/internal/des"
 	"windowctl/internal/fault"
 	"windowctl/internal/metrics"
 	"windowctl/internal/station"
@@ -44,11 +43,6 @@ type MultiConfig struct {
 	// per-station engine, the O(M) per-slot loops.  <= 0 means GOMAXPROCS.
 	// Reports are bit-identical at any value.
 	Workers int
-	// EventQueue selects the kernel's pending-event backend
-	// (des.QueueHeap, the zero value, or des.QueueCalendar with bucket
-	// width Tau).  Both dispatch in identical order, so reports do not
-	// depend on the choice.
-	EventQueue des.QueueKind
 
 	// forceDense routes the run through the per-station reference engine
 	// even when the shared fast path applies (test-only: the equivalence
@@ -111,7 +105,7 @@ func lockstepPlan(cfg MultiConfig) (every int64, idx []int) {
 // engine instead.
 type multiState struct {
 	cfg       MultiConfig
-	kernel    *des.Simulator
+	now       float64 // the clock: the time of the next slot to run
 	ch        *channel.Channel
 	bank      *station.Bank
 	tracker   *window.Tracker
@@ -127,7 +121,6 @@ type multiState struct {
 	resident  int64
 	runErr    error
 	discardFn func(arrival float64)
-	slotFn    func() // m.slot bound once; a fresh method value per Schedule would allocate every slot
 
 	// Lockstep verification: shadows are real per-station Resolver
 	// replicas (with their own policy forks) driven by the same feedback
@@ -137,7 +130,7 @@ type multiState struct {
 	lockEvery  int64
 	probeSlots int64
 
-	// idleRuns counts the runs of idle slots taken in one kernel event
+	// idleRuns counts the runs of idle slots taken in one step
 	// (idleRun); runScratch keeps its tracker commit slice-literal-free.
 	idleRuns   int64
 	runScratch [1]window.Window
@@ -154,8 +147,8 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 	if cfg.Stations < 1 {
 		return Report{}, fmt.Errorf("sim: need >= 1 station, got %d", cfg.Stations)
 	}
-	if cfg.EventQueue != des.QueueHeap && cfg.EventQueue != des.QueueCalendar {
-		return Report{}, fmt.Errorf("sim: unknown event queue kind %d", cfg.EventQueue)
+	if err := cfg.rejectGlobalOnly(); err != nil {
+		return Report{}, err
 	}
 	// Per-station fault perception breaks the cross-station symmetry the
 	// shared fast path rests on; only that case needs the O(M)-per-slot
@@ -171,14 +164,13 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 }
 
 // newMultiState builds the shared-path engine without running it (the
-// allocation tests drive the kernel step by step).
+// allocation tests drive it step by step).
 func newMultiState(cfg MultiConfig) (*multiState, error) {
 	m := &multiState{
-		cfg:    cfg,
-		kernel: des.NewWithQueue(cfg.EventQueue, cfg.Tau),
-		ch:     channel.New(cfg.Tau, cfg.M*cfg.Tau),
-		col:    metrics.OrNop(cfg.Collector),
-		fo:     metrics.FaultObserverOrNop(cfg.Collector),
+		cfg: cfg,
+		ch:  channel.New(cfg.Tau, cfg.M*cfg.Tau),
+		col: metrics.OrNop(cfg.Collector),
+		fo:  metrics.FaultObserverOrNop(cfg.Collector),
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
@@ -229,14 +221,14 @@ func newMultiState(cfg MultiConfig) (*multiState, error) {
 			m.rep.LostSender++
 		}
 	}
-	m.slotFn = m.slot
 	return m, nil
 }
 
 func (m *multiState) run() (Report, error) {
 	checkpoint, check := conservationStart(m.cfg.Collector)
-	m.kernel.Schedule(0, 0, m.slotFn)
-	m.kernel.RunUntil(m.cfg.EndTime)
+	for m.runErr == nil && m.now < m.cfg.EndTime {
+		m.step()
+	}
 	if m.runErr != nil {
 		return m.rep, m.runErr
 	}
@@ -249,9 +241,40 @@ func (m *multiState) run() (Report, error) {
 	return m.rep, nil
 }
 
-func (m *multiState) fail(err error) {
-	m.runErr = err
-	m.kernel.Stop()
+// step runs the slot at the clock and moves the clock to the slot after
+// it.
+func (m *multiState) step() {
+	next := m.slot(m.now)
+	if m.runErr == nil {
+		m.runErr = clockStep(m.now, next)
+	}
+	m.now = next
+}
+
+// clockStep checks a slot engine's move from the slot at now to the next
+// one at next.  The channel is slotted, so each engine's timeline is one
+// slot after another and its clock must move strictly forward to a finite
+// time; a slot that breaks this is a model bug, and the error fails the
+// run instead of letting it loop in place.
+func clockStep(now, next float64) error {
+	if now < next && next <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("sim: slot at t=%v is followed by one at t=%v", now, next)
+}
+
+// rejectGlobalOnly rejects the Config fields that only the global engine
+// implements, which the slot engines would otherwise silently ignore.
+func (c *Config) rejectGlobalOnly() error {
+	switch {
+	case c.TxLengths != nil:
+		return fmt.Errorf("sim: TxLengths is supported by the global simulator only")
+	case c.RateEstimator != nil:
+		return fmt.Errorf("sim: RateEstimator is supported by the global simulator only")
+	case c.ExternalArrivals:
+		return fmt.Errorf("sim: ExternalArrivals is supported by the global simulator only")
+	}
+	return nil
 }
 
 // feedShadows distributes this slot's feedback to the verified shadow
@@ -278,13 +301,13 @@ func (m *multiState) feedShadows(fb window.Feedback) {
 // resolver — the full state (done, outcome, examined intervals) whenever
 // the process just ended, and the enabled window every lockEvery-th probe
 // slot mid-process.
-func (m *multiState) checkLockstep() bool {
+func (m *multiState) checkLockstep() {
 	if len(m.shadows) == 0 {
-		return true
+		return
 	}
 	r0 := m.resolver
 	if !r0.Done() && m.probeSlots%m.lockEvery != 0 {
-		return true
+		return
 	}
 	for i, r := range m.shadows {
 		bad := r.Done() != r0.Done()
@@ -307,20 +330,16 @@ func (m *multiState) checkLockstep() bool {
 			}
 		}
 		if bad {
-			m.fail(fmt.Errorf("sim: shadow station %d diverged from the shared resolver at probe slot %d — lockstep broken", i, m.probeSlots))
-			return false
+			m.runErr = fmt.Errorf("sim: shadow station %d diverged from the shared resolver at probe slot %d — lockstep broken", i, m.probeSlots)
+			return
 		}
 	}
-	return true
 }
 
-// slot executes one protocol slot: decision epoch if needed, one probe,
-// feedback distribution, and scheduling of the next slot.
-func (m *multiState) slot() {
-	now := m.kernel.Now()
-	if now >= m.cfg.EndTime {
-		return
-	}
+// slot executes the protocol slot at now — decision epoch if needed, one
+// probe, feedback distribution — and returns the time of the next slot.
+// On failure it sets runErr and the returned time is meaningless.
+func (m *multiState) slot(now float64) float64 {
 	m.bank.GenerateUntil(now)
 	backlog := m.bank.Len()
 	if backlog > m.rep.MaxBacklog {
@@ -331,8 +350,8 @@ func (m *multiState) slot() {
 		maxBacklog = 1 << 20
 	}
 	if backlog > maxBacklog {
-		m.fail(fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now))
-		return
+		m.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now)
+		return now
 	}
 
 	if !m.inProcess {
@@ -340,18 +359,19 @@ func (m *multiState) slot() {
 		v := m.decisionView(now)
 		if v.TNewest-v.TPast <= 0 {
 			// Nothing unexamined yet: idle for one slot.
-			m.kernel.ScheduleAfter(m.cfg.Tau, 0, m.slotFn)
-			return
+			return now + m.cfg.Tau
 		}
-		if m.idleRun(now, v) || !m.beginProcess(v) {
-			return
+		if next, ok := m.idleRun(now, v); ok {
+			return next
+		}
+		if !m.beginProcess(v) {
+			return now
 		}
 	}
 	m.probeSlots++
 
 	if m.inj != nil {
-		m.faultySlot(now)
-		return
+		return m.faultySlot(now)
 	}
 
 	// One station with one pending message in the window transmits;
@@ -367,8 +387,8 @@ func (m *multiState) slot() {
 	if fb == window.Success {
 		arrival, _, ok := m.bank.PopOldestIn(enabled)
 		if !ok {
-			m.fail(fmt.Errorf("sim: success with no pending message in %v", enabled))
-			return
+			m.runErr = fmt.Errorf("sim: success with no pending message in %v", enabled)
+			return now
 		}
 		m.recordTransmission(arrival, now, now+dur)
 	}
@@ -377,10 +397,8 @@ func (m *multiState) slot() {
 		m.tracker.Commit(now+dur, m.resolver.Examined())
 		m.inProcess = false
 	}
-	if !m.checkLockstep() {
-		return
-	}
-	m.kernel.ScheduleAfter(dur, 0, m.slotFn)
+	m.checkLockstep()
+	return now + dur
 }
 
 // faultySlot executes one protocol slot under common-noise imperfect
@@ -390,8 +408,9 @@ func (m *multiState) slot() {
 // misreads its successful slot aborts the transmission, which then costs
 // τ as a collision slot — see the internal/fault package doc).  Common
 // noise cannot desynchronize the stations, so no recovery watch is
-// needed here; per-station faults run on the dense engine.
-func (m *multiState) faultySlot(now float64) {
+// needed here; per-station faults run on the dense engine.  It returns
+// the time of the next slot.
+func (m *multiState) faultySlot(now float64) float64 {
 	enabled := m.resolver.Enabled()
 	totalMsgs := m.bank.CountIn(enabled)
 	truth := channel.Classify(totalMsgs)
@@ -407,8 +426,8 @@ func (m *multiState) faultySlot(now float64) {
 	if delivered {
 		arrival, _, ok := m.bank.PopOldestIn(enabled)
 		if !ok {
-			m.fail(fmt.Errorf("sim: success with no pending message in %v", enabled))
-			return
+			m.runErr = fmt.Errorf("sim: success with no pending message in %v", enabled)
+			return now
 		}
 		m.recordTransmission(arrival, now, now+dur)
 	}
@@ -423,10 +442,8 @@ func (m *multiState) faultySlot(now float64) {
 		m.tracker.Commit(now+dur, m.resolver.Examined())
 		m.inProcess = false
 	}
-	if !m.checkLockstep() {
-		return
-	}
-	m.kernel.ScheduleAfter(dur, 0, m.slotFn)
+	m.checkLockstep()
+	return now + dur
 }
 
 // decisionView performs the first half of the common decision epoch:
@@ -438,27 +455,27 @@ func (m *multiState) decisionView(now float64) window.View {
 	return m.tracker.View(now, m.cfg.Tau, m.cfg.Lambda)
 }
 
-// idleRun takes a run of idle slots in one kernel event, the global
+// idleRun takes a run of idle slots in one step, the global
 // engine's idle skip: when nothing is pending, the feedback is perfect,
 // no lockstep shadow must see the probes and the policy sweeps the
 // unexamined span (sweepsSpan), the slot at now is certainly one idle
 // probe that clears everything up to now, and so is every later slot
 // until the next arrival.  The run books those slots on the channel one
 // by one, as slot-by-slot execution does, commits their cleared span
-// once and schedules the slot after them.  It returns false, changing
-// nothing, when the epoch does not qualify.
-func (m *multiState) idleRun(now float64, v window.View) bool {
+// once and returns the time of the slot after them.  It returns ok
+// false, changing nothing, when the epoch does not qualify.
+func (m *multiState) idleRun(now float64, v window.View) (next float64, ok bool) {
 	if m.bank.Len() != 0 || m.inj != nil || len(m.shadows) != 0 || !sweepsSpan(m.policy, v) {
-		return false
+		return 0, false
 	}
 	tau, end, arrival := m.cfg.Tau, m.cfg.EndTime, m.bank.NextArrivalAt()
 	t, k := now, int64(1)
 	m.ch.ResolveSlot(0)
 	// The slot at next runs iff next < EndTime, and its GenerateUntil
 	// materializes the next arrival iff arrival <= next.  The clock moves
-	// by successive additions, as ScheduleAfter moves it, so every slot
-	// time matches slot-by-slot execution bit for bit.
-	for next := t + tau; next < end && next < arrival; next = t + tau {
+	// by successive additions, as slot-by-slot execution moves it, so
+	// every slot time matches bit for bit.
+	for next = t + tau; next < end && next < arrival; next = t + tau {
 		t = next
 		k++
 		m.ch.ResolveSlot(0)
@@ -466,9 +483,8 @@ func (m *multiState) idleRun(now float64, v window.View) bool {
 	m.probeSlots += k
 	m.idleRuns++
 	m.runScratch[0] = window.Window{Start: v.TPast, End: t}
-	m.tracker.Commit(t+tau, m.runScratch[:])
-	m.kernel.Schedule(t+tau, 0, m.slotFn)
-	return true
+	m.tracker.Commit(next, m.runScratch[:])
+	return next, true
 }
 
 // beginProcess performs the second half of the common decision epoch,
@@ -481,12 +497,12 @@ func (m *multiState) beginProcess(v window.View) bool {
 		v.MinSplitLen = m.cfg.Tau / 1024
 	}
 	if err := m.resolver.Reset(m.policy, v); err != nil {
-		m.fail(fmt.Errorf("sim: resolver: %w", err))
+		m.runErr = fmt.Errorf("sim: resolver: %w", err)
 		return false
 	}
 	for i, r := range m.shadows {
 		if err := r.Reset(m.shadowPols[i], v); err != nil {
-			m.fail(fmt.Errorf("sim: shadow resolver %d: %w", i, err))
+			m.runErr = fmt.Errorf("sim: shadow resolver %d: %w", i, err)
 			return false
 		}
 	}

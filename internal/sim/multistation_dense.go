@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"windowctl/internal/channel"
-	"windowctl/internal/des"
 	"windowctl/internal/fault"
 	"windowctl/internal/metrics"
 	"windowctl/internal/rngutil"
@@ -35,7 +34,6 @@ import (
 // max index, first error), so reports are bit-identical at any width.
 type denseState struct {
 	cfg       MultiConfig
-	kernel    *des.Simulator
 	ch        *channel.Channel
 	stations  []*station.Station
 	trackers  []*window.Tracker
@@ -52,7 +50,6 @@ type denseState struct {
 	resident  int64 // messages still queued anywhere when the run ended
 	runErr    error
 	discardFn func(station.Message)
-	slotFn    func() // m.slot bound once; a fresh method value per Schedule would allocate every slot
 
 	pool       *pool
 	lockEvery  int64
@@ -82,12 +79,11 @@ type denseState struct {
 // validated.
 func runMultiDense(cfg MultiConfig) (Report, error) {
 	m := &denseState{
-		cfg:    cfg,
-		kernel: des.NewWithQueue(cfg.EventQueue, cfg.Tau),
-		ch:     channel.New(cfg.Tau, cfg.M*cfg.Tau),
-		col:    metrics.OrNop(cfg.Collector),
-		fo:     metrics.FaultObserverOrNop(cfg.Collector),
-		pool:   newPool(cfg.workerCount()),
+		cfg:  cfg,
+		ch:   channel.New(cfg.Tau, cfg.M*cfg.Tau),
+		col:  metrics.OrNop(cfg.Collector),
+		fo:   metrics.FaultObserverOrNop(cfg.Collector),
+		pool: newPool(cfg.workerCount()),
 	}
 	defer m.pool.close()
 	if cfg.Faults.Enabled() {
@@ -142,13 +138,17 @@ func runMultiDense(cfg MultiConfig) (Report, error) {
 			m.rep.LostSender++
 		}
 	}
-	m.slotFn = m.slot
 	m.lockEvery, m.lockIdx = lockstepPlan(cfg)
 	m.bindShardFns()
 
 	checkpoint, check := conservationStart(cfg.Collector)
-	m.kernel.Schedule(0, 0, m.slotFn)
-	m.kernel.RunUntil(cfg.EndTime)
+	for now := 0.0; m.runErr == nil && now < cfg.EndTime; {
+		next := m.slot(now)
+		if m.runErr == nil {
+			m.runErr = clockStep(now, next)
+		}
+		now = next
+	}
 	if m.runErr != nil {
 		return m.rep, m.runErr
 	}
@@ -237,11 +237,6 @@ func (m *denseState) countAll(fn func(w, lo, hi int)) (total, txStation int) {
 	return total, txStation
 }
 
-func (m *denseState) fail(err error) {
-	m.runErr = err
-	m.kernel.Stop()
-}
-
 // verifySampledLockstep asserts that the sampled stations' resolvers
 // agree with station 0 on the enabled window.  It runs every lockEvery-th
 // probe slot rather than every slot, and over the sample rather than all
@@ -255,8 +250,8 @@ func (m *denseState) verifySampledLockstep() bool {
 	enabled := m.resolvers[0].Enabled()
 	for _, i := range m.lockIdx {
 		if r := m.resolvers[i]; r.Enabled() != enabled {
-			m.fail(fmt.Errorf("sim: station %d enabled %v, station 0 enabled %v — lockstep broken",
-				i, r.Enabled(), enabled))
+			m.runErr = fmt.Errorf("sim: station %d enabled %v, station 0 enabled %v — lockstep broken",
+				i, r.Enabled(), enabled)
 			return false
 		}
 	}
@@ -272,13 +267,10 @@ func corruptFeedback(fb window.Feedback) window.Feedback {
 	return window.Collision
 }
 
-// slot executes one protocol slot: decision epoch if needed, one probe,
-// feedback distribution, and scheduling of the next slot.
-func (m *denseState) slot() {
-	now := m.kernel.Now()
-	if now >= m.cfg.EndTime {
-		return
-	}
+// slot executes the protocol slot at now — decision epoch if needed, one
+// probe, feedback distribution — and returns the time of the next slot.
+// On failure it sets runErr and the returned time is meaningless.
+func (m *denseState) slot(now float64) float64 {
 	for _, s := range m.stations {
 		s.GenerateUntil(now)
 	}
@@ -294,27 +286,25 @@ func (m *denseState) slot() {
 		maxBacklog = 1 << 20
 	}
 	if backlog > maxBacklog {
-		m.fail(fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now))
-		return
+		m.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now)
+		return now
 	}
 
 	if !m.inProcess {
 		// Decision epoch at every station.
 		if !m.beginProcess(now) {
 			// Nothing unexamined yet: idle for one slot.
-			m.kernel.ScheduleAfter(m.cfg.Tau, 0, m.slotFn)
-			return
+			return now + m.cfg.Tau
 		}
 	}
 	m.probeSlots++
 
 	if m.inj != nil {
-		m.faultySlot(now)
-		return
+		return m.faultySlot(now)
 	}
 
 	if !m.verifySampledLockstep() {
-		return
+		return now
 	}
 
 	// Stations transmit; multiple messages at one station jam the slot.
@@ -338,8 +328,8 @@ func (m *denseState) slot() {
 	if fb == window.Success {
 		msg, ok := m.stations[txStation].PopOldestIn(m.curEnabled)
 		if !ok {
-			m.fail(fmt.Errorf("sim: station %d vanished message in %v", txStation, m.curEnabled))
-			return
+			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, m.curEnabled)
+			return now
 		}
 		m.recordTransmission(msg, now, now+dur)
 	}
@@ -350,7 +340,7 @@ func (m *denseState) slot() {
 		m.pool.run(len(m.trackers), m.commitFn)
 		m.inProcess = false
 	}
-	m.kernel.ScheduleAfter(dur, 0, m.slotFn)
+	return now + dur
 }
 
 // faultySlot executes one protocol slot under imperfect feedback: the
@@ -363,8 +353,9 @@ func (m *denseState) slot() {
 // wide recovery protocol: every station aborts its process, nothing is
 // committed, and the next decision epoch re-enables the window from the
 // common pre-process state, with element-(4) deadline discards still
-// enforced on whatever the re-enabled window holds.
-func (m *denseState) faultySlot(now float64) {
+// enforced on whatever the re-enabled window holds.  It returns the time
+// of the next slot.
+func (m *denseState) faultySlot(now float64) float64 {
 	// Each station transmits by its own resolver's view.  The views agree
 	// whenever this point is reached: desynchronization is detected and
 	// recovered in the very slot it first manifests, before it can drive
@@ -393,7 +384,7 @@ func (m *denseState) faultySlot(now float64) {
 		}
 		// Shared perception preserves lockstep; keep asserting it.
 		if !m.verifySampledLockstep() {
-			return
+			return now
 		}
 	}
 
@@ -402,8 +393,8 @@ func (m *denseState) faultySlot(now float64) {
 	if delivered {
 		msg, ok := m.stations[txStation].PopOldestIn(m.resolvers[txStation].Enabled())
 		if !ok {
-			m.fail(fmt.Errorf("sim: station %d vanished message in %v", txStation, m.resolvers[txStation].Enabled()))
-			return
+			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, m.resolvers[txStation].Enabled())
+			return now
 		}
 		m.recordTransmission(msg, now, now+dur)
 	}
@@ -426,7 +417,7 @@ func (m *denseState) faultySlot(now float64) {
 		m.pool.run(len(m.trackers), m.commitFn)
 		m.inProcess = false
 	}
-	m.kernel.ScheduleAfter(dur, 0, m.slotFn)
+	return now + dur
 }
 
 // desynced reports whether the stations' resolvers disagree after this
@@ -491,7 +482,7 @@ func (m *denseState) beginProcess(now float64) bool {
 	m.pool.run(len(m.stations), m.resetFn)
 	for _, err := range m.wErr {
 		if err != nil {
-			m.fail(err)
+			m.runErr = err
 			return false
 		}
 	}

@@ -2,10 +2,9 @@ package sim
 
 // Cross-engine oracle for the multi-station simulator: the shared-state
 // fast path (multiState) must reproduce the per-station reference engine
-// (denseState) bit for bit, at any worker count and with either kernel
-// event-queue backend.  Fingerprints reuse the golden formatter, so
-// "equal" means every report field equal, floats compared by their hex
-// representation.
+// (denseState) bit for bit, at any worker count.  Fingerprints reuse the
+// golden formatter, so "equal" means every report field equal, floats
+// compared by their hex representation.
 
 import (
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"windowctl/internal/des"
 	"windowctl/internal/metrics"
 	"windowctl/internal/rngutil"
 	"windowctl/internal/station"
@@ -224,22 +222,6 @@ func TestMultiWorkersBitIdentical(t *testing.T) {
 						t.Errorf("dense=%v workers=%d: report diverged:\nwant %s\ngot  %s", dense, workers, want, got)
 					}
 				}
-			}
-		})
-	}
-}
-
-// TestMultiEventQueueBitIdentical pins the calendar-queue kernel to the
-// heap kernel: both dispatch in identical order, so the whole simulation
-// must not depend on the backend.
-func TestMultiEventQueueBitIdentical(t *testing.T) {
-	for _, c := range append(engineCases()[:2], idleRunCases()...) {
-		t.Run(c.name, func(t *testing.T) {
-			want := mustFingerprint(t, c.mk())
-			cfg := c.mk()
-			cfg.EventQueue = des.QueueCalendar
-			if got := mustFingerprint(t, cfg); got != want {
-				t.Errorf("calendar kernel diverged from heap kernel:\nheap:     %s\ncalendar: %s", want, got)
 			}
 		})
 	}

@@ -59,10 +59,10 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 	}
 
 	t.Run("backlog", func(t *testing.T) {
-		m := stepLight(t, lightMulti(1), func(m *multiState, runSlots int64) {
+		m := stepLight(t, lightMulti(1), func(m *multiState, now float64, runSlots int64) {
 			if runSlots > 0 && m.bank.Len() != 0 {
 				t.Fatalf("idle run taken at t=%v with %d messages pending: the run books their probe idle, and they wait past it instead of being transmitted",
-					m.kernel.Now(), m.bank.Len())
+					now, m.bank.Len())
 			}
 		})
 		if m.idleRuns == 0 {
@@ -108,11 +108,10 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 		t.Run("stops/"+c.name, func(t *testing.T) {
 			cfg := c.cfg
 			var atArrival, atEnd int
-			var pending bool // a run was taken in the previous kernel step
+			var pending bool // a run was taken in the previous step
 			var last float64 // its last slot
 			var nextArr float64
-			stepLight(t, cfg, func(m *multiState, runSlots int64) {
-				now := m.kernel.Now()
+			stepLight(t, cfg, func(m *multiState, now float64, runSlots int64) {
 				if pending {
 					pending = false
 					if now != last+cfg.Tau {
@@ -130,7 +129,7 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 				if runSlots == 0 {
 					return
 				}
-				// The run's slot times, added as the kernel adds them.
+				// The run's slot times, added as the engine adds them.
 				last = now
 				for i := int64(1); i < runSlots; i++ {
 					last += cfg.Tau
@@ -151,10 +150,11 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 	}
 }
 
-// stepLight drives cfg's shared engine one kernel event at a time to the
-// end of its events, calling after with the number of slots of the idle
-// run that event took (0 if it took none).
-func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, runSlots int64)) *multiState {
+// stepLight drives cfg's shared engine one step at a time to EndTime,
+// calling after with the time of the step and the number of slots of the
+// idle run it took (0 if it took none).  The last call is the end-of-run
+// step at the first slot time >= EndTime, where the engine runs no slot.
+func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, now float64, runSlots int64)) *multiState {
 	t.Helper()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
@@ -163,12 +163,9 @@ func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, runSlots
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.kernel.Schedule(0, 0, m.slotFn)
-	for {
-		runs, probes := m.idleRuns, m.probeSlots
-		if !m.kernel.Step() {
-			return m
-		}
+	for m.now < cfg.EndTime {
+		now, runs, probes := m.now, m.idleRuns, m.probeSlots
+		m.step()
 		if m.runErr != nil {
 			t.Fatal(m.runErr)
 		}
@@ -176,6 +173,8 @@ func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, runSlots
 		if m.idleRuns != runs {
 			runSlots = m.probeSlots - probes
 		}
-		after(m, runSlots)
+		after(m, now, runSlots)
 	}
+	after(m, m.now, 0)
+	return m
 }

@@ -125,7 +125,10 @@ func TestGlobalSeedSensitivity(t *testing.T) {
 
 func TestIdleFastForwardIsExact(t *testing.T) {
 	// The idle fast-forward must produce bit-identical results to
-	// probe-by-probe execution, for every deterministic policy.
+	// probe-by-probe execution, for every deterministic policy, at τ = 1,
+	// the only τ run here: sums of τ are exact there, while at other τ the
+	// fast-forward's product k·τ can differ in the last bits from k
+	// successive additions (see Config.DisableFastForward).
 	for _, pol := range []window.Policy{
 		window.Controlled{Length: window.FixedG(gStar)},
 		window.FCFS{Length: window.FixedG(gStar)},
