@@ -51,7 +51,7 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 }
 
 // TestMultiStepZeroAlloc extends the contract to the shared-state
-// multi-station fast path: once the Bank's arrival heap, the pending
+// multi-station fast path: once the Bank's epoch buffers, the pending
 // multiset and the resolver scratch have reached their working sizes, a
 // step (one protocol slot, including the sampled lockstep check, or one
 // run of idle slots) allocates nothing.  Lockstep shadows make the engine

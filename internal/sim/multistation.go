@@ -37,7 +37,10 @@ type MultiConfig struct {
 	// (e.g. an on/off talkspurt source) instead of the default Poisson
 	// split of Lambda.  Config.Lambda must still give the aggregate mean
 	// rate — it parameterizes the window-length rule.  The factory is
-	// called sequentially in station-index order.
+	// called sequentially in station-index order.  Each station needs a
+	// process instance of its own: the order in which draws interleave
+	// across stations is unspecified, so a process shared by several
+	// stations makes the run depend on it.
 	Arrivals func(station int) station.ArrivalProcess
 	// Workers shards station-state initialization and, in the dense
 	// per-station engine, the O(M) per-slot loops.  <= 0 means GOMAXPROCS.

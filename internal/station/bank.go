@@ -21,13 +21,20 @@ import (
 // from station j is its private arrival stream.  The Bank therefore keeps
 // exactly that — one xoshiro stream, one next-arrival time and (when
 // sources are heterogeneous) one ArrivalProcess per station — and merges
-// the M streams into a single global arrival order with an index min-heap
-// keyed by next-arrival time.  Materialized arrivals land in one shared
+// the M streams into a single global arrival order in epochs.  An epoch
+// is one pass over the stations in index order that draws every arrival
+// before the epoch's end, each station's gaps drawn back to back from its
+// own stream, followed by a counting sort of the drawn arrivals into
+// (time, station) order.  Materialized arrivals land in one shared
 // pendq.Queue keyed by arrival time, whose Fenwick machinery answers the
 // per-slot window queries in O(log backlog) independent of M.
 //
-// Per-station memory is 56 bytes (stream 48, nextAt 8) plus 4 heap bytes,
-// so a million stations fit in ~64 MB with zero per-station allocations.
+// Per-station memory is 56 bytes (stream 48, nextAt 8), so a million
+// stations fit in ~56 MB with zero per-station allocations.  The epoch
+// buffers on top are bounded and allocated once: an epoch aims at no
+// more than max(M/32, 1024) arrivals, and the two arrival buffers and
+// the bucket offsets hold 1.25 times that at 36 bytes an arrival, about
+// 1.4 bytes per station at a million.
 //
 // Stream identity is positional: station i draws from
 // rngutil.Seeded(rngutil.ChildSeed(seed, i+1)), the exact stream the i-th
@@ -40,17 +47,46 @@ type Bank struct {
 	rate    float64          // uniform Poisson rate, used when procs is nil
 	procs   []ArrivalProcess // per-station sources; nil for uniform Poisson
 	streams []rngutil.Stream
-	nextAt  []float64          // next not-yet-materialized arrival per station
-	heap    []int32            // station indices ordered by (nextAt, index)
+	nextAt  []float64          // first arrival per station not yet drawn into an epoch
 	pending pendq.Queue[int32] // origin station per pending message, keyed by arrival
 	created int64
 	col     metrics.Collector
+
+	// The current epoch: ep holds every arrival drawn so far in
+	// (time, station) order, and ep[pos:] are not yet materialized.
+	// minNext, the minimum nextAt, lies past all of them; the next epoch
+	// starts there.  span is the next epoch's width, aimed at target
+	// arrivals; target doubles per epoch up to maxTarget.
+	ep         []arrival
+	pos        int
+	minNext    float64
+	span       float64
+	target     int
+	maxTarget  int
+	drawn      []arrival // the epoch pass's output, in station order
+	bucketNext []int32   // counting-sort bucket offsets
 
 	// discardFn/discardAdapter relay pendq discard callbacks without a
 	// per-call closure: the adapter is bound once, the target swaps.
 	discardFn      func(arrival float64)
 	discardAdapter func(key float64, item int32)
 }
+
+// arrival is one drawn arrival of an epoch.
+type arrival struct {
+	at float64
+	s  int32
+}
+
+// Epoch sizing: the first epoch aims at min(M, epochFirst) arrivals and
+// each next one at twice as many, up to max(M/epochCapDiv, epochFirst).
+// The cap bounds the epoch buffers at a small fraction of the per-station
+// state; growing toward it keeps short runs from drawing far past their
+// end.
+const (
+	epochFirst  = 1024
+	epochCapDiv = 32
+)
 
 // NewBank creates the population.  Station i's arrivals come from
 // arrivals(i) when the factory is non-nil (it is called sequentially in
@@ -65,12 +101,19 @@ func NewBank(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess
 		return nil, fmt.Errorf("station: %d stations exceed the int32 index space", n)
 	}
 	b := &Bank{
-		n:       n,
-		rate:    rate,
-		streams: make([]rngutil.Stream, n),
-		nextAt:  make([]float64, n),
-		heap:    make([]int32, n),
+		n:         n,
+		rate:      rate,
+		streams:   make([]rngutil.Stream, n),
+		nextAt:    make([]float64, n),
+		target:    min(n, epochFirst),
+		maxTarget: max(n/epochCapDiv, epochFirst),
 	}
+	// The epoch buffers fit a capped epoch with room to spare, so one
+	// that overshoots its aim by chance allocates nothing.
+	size := b.maxTarget + b.maxTarget/4
+	b.drawn = make([]arrival, 0, size)
+	b.ep = make([]arrival, 0, size)
+	b.bucketNext = make([]int32, size+1)
 	if arrivals != nil {
 		b.procs = make([]ArrivalProcess, n)
 		for i := range b.procs {
@@ -88,7 +131,6 @@ func NewBank(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess
 		for i := lo; i < hi; i++ {
 			b.streams[i] = rngutil.Seeded(rngutil.ChildSeed(seed, uint64(i)+1))
 			b.nextAt[i] = b.gap(i)
-			b.heap[i] = int32(i)
 		}
 	}
 	if workers <= 1 {
@@ -109,8 +151,21 @@ func NewBank(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess
 		}
 		wg.Wait()
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		b.siftDown(i)
+	// The first epoch starts at the earliest arrival and spans the time
+	// in which the stations that fire at all would give target arrivals,
+	// each at the rate the mean of their first gaps implies.
+	b.minNext = math.Inf(1)
+	var sum float64
+	var finite int
+	for _, at := range b.nextAt {
+		b.minNext = min(b.minNext, at)
+		if !math.IsInf(at, 1) {
+			sum += at
+			finite++
+		}
+	}
+	if finite > 0 {
+		b.span = float64(b.target) * sum / float64(finite) / float64(finite)
 	}
 	b.discardAdapter = func(key float64, _ int32) { b.discardFn(key) }
 	return b, nil
@@ -130,29 +185,83 @@ func (b *Bank) gap(i int) float64 {
 	return g
 }
 
-func (b *Bank) less(x, y int32) bool {
-	ax, ay := b.nextAt[x], b.nextAt[y]
-	return ax < ay || (ax == ay && x < y)
-}
-
-func (b *Bank) siftDown(i int) {
-	h := b.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && b.less(h[r], h[l]) {
-			m = r
-		}
-		if !b.less(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+// nextEpoch replaces the used-up epoch with the next one, which starts
+// at the earliest undrawn arrival and so is never empty.  It reports
+// false, changing nothing, when every station has gone silent.
+func (b *Bank) nextEpoch() bool {
+	lo := b.minNext
+	if math.IsInf(lo, 1) {
+		return false
 	}
+	end := lo + b.span
+	if !(end > lo) {
+		end = math.Nextafter(lo, math.Inf(1))
+	}
+
+	// The pass, in station order: stream access is sequential, and equal
+	// times end up in station order, the tie order the sort keeps.
+	drawn := b.drawn[:0]
+	next := math.Inf(1)
+	for i, at := range b.nextAt {
+		if at < end {
+			for at < end {
+				drawn = append(drawn, arrival{at, int32(i)})
+				at += b.gap(i)
+			}
+			b.nextAt[i] = at
+		}
+		if at < next {
+			next = at
+		}
+	}
+	b.drawn = drawn
+
+	// A stable counting sort into len(drawn) equal-width time buckets,
+	// then an insertion pass to order each bucket.  Arrivals inside an
+	// epoch are close to uniform in time, so both are O(len(drawn)).
+	c := len(drawn)
+	perUnit := float64(c) / (end - lo)
+	bucket := func(at float64) int {
+		f := (at - lo) * perUnit
+		switch {
+		case f >= float64(c):
+			return c - 1
+		case f > 0:
+			return int(f)
+		}
+		return 0
+	}
+	if len(b.bucketNext) < c+1 {
+		b.bucketNext = make([]int32, c+1)
+		b.ep = make([]arrival, c)
+	}
+	offs := b.bucketNext[:c+1]
+	clear(offs)
+	for _, a := range drawn {
+		offs[bucket(a.at)+1]++
+	}
+	for k := 1; k < c; k++ {
+		offs[k] += offs[k-1]
+	}
+	ep := b.ep[:c]
+	for _, a := range drawn {
+		k := bucket(a.at)
+		ep[offs[k]] = a
+		offs[k]++
+	}
+	for i := 1; i < c; i++ {
+		a := ep[i]
+		j := i
+		for ; j > 0 && ep[j-1].at > a.at; j-- {
+			ep[j] = ep[j-1]
+		}
+		ep[j] = a
+	}
+
+	b.ep, b.pos, b.minNext = ep, 0, next
+	b.target = min(2*b.target, b.maxTarget)
+	b.span = (end - lo) * float64(b.target) / float64(c)
+	return true
 }
 
 // Stations returns the population size.
@@ -162,23 +271,28 @@ func (b *Bank) Stations() int { return b.n }
 func (b *Bank) Observe(c metrics.Collector) { b.col = c }
 
 // GenerateUntil materializes every arrival across the population with
-// time <= t into the shared pending set, in global arrival order, and
-// returns how many were added.  Each materialized arrival costs one
-// O(log M) heap repair; a peek that finds nothing due costs O(1).
+// time <= t into the shared pending set, in global (time, station)
+// order, and returns how many were added.  A materialized arrival costs
+// O(1) amortized: its share of one epoch's pass over the M stations,
+// about M/target station checks, and of the epoch's counting sort.
+// Arrivals are drawn ahead of t up to the current epoch's end, in
+// station order; a call that finds nothing due costs O(1).  When every
+// station has gone silent, it returns at once.
 func (b *Bank) GenerateUntil(t float64) int {
 	added := 0
 	for {
-		s := b.heap[0]
-		at := b.nextAt[s]
-		if at > t {
+		if b.pos == len(b.ep) && (t < b.minNext || !b.nextEpoch()) {
 			break
 		}
-		b.pending.Push(at, s)
-		b.created++
+		a := b.ep[b.pos]
+		if a.at > t {
+			break
+		}
+		b.pending.Push(a.at, a.s)
+		b.pos++
 		added++
-		b.nextAt[s] = at + b.gap(int(s))
-		b.siftDown(0)
 	}
+	b.created += int64(added)
 	if added > 0 && b.col != nil {
 		b.col.RecordArrivals(int64(added))
 	}
@@ -186,8 +300,13 @@ func (b *Bank) GenerateUntil(t float64) int {
 }
 
 // NextArrivalAt returns the time of the population's next
-// not-yet-materialized arrival.
-func (b *Bank) NextArrivalAt() float64 { return b.nextAt[b.heap[0]] }
+// not-yet-materialized arrival, +Inf when every station has gone silent.
+func (b *Bank) NextArrivalAt() float64 {
+	if b.pos == len(b.ep) && !b.nextEpoch() {
+		return math.Inf(1)
+	}
+	return b.ep[b.pos].at
+}
 
 // Len returns the number of pending messages across all stations.
 func (b *Bank) Len() int { return b.pending.Len() }

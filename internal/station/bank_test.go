@@ -62,6 +62,13 @@ func bankArrivals(t *testing.T, n int, seed uint64, rate float64, arrivals func(
 		b.GenerateUntil(at)
 	}
 	b.GenerateUntil(until)
+	return pendingArrivals(t, b)
+}
+
+// pendingArrivals lists b's pending set in order and checks it against
+// the bank's counters.
+func pendingArrivals(t *testing.T, b *Bank) []refArrival {
+	t.Helper()
 	var all []refArrival
 	b.ForEach(func(at float64, origin int32) {
 		all = append(all, refArrival{at: at, origin: int(origin)})
@@ -103,6 +110,164 @@ func TestBankMatchesStationsOnOff(t *testing.T) {
 		t.Fatal("reference generated no arrivals; the oracle is vacuous")
 	}
 	sameArrivals(t, bankArrivals(t, n, seed, 0, factory, 1, until), want)
+}
+
+// everyGap is a constant-gap source: stations with commensurate gaps
+// fire at exactly the same times.
+type everyGap float64
+
+func (g everyGap) NextGap(*rngutil.Stream) float64 { return float64(g) }
+func (g everyGap) String() string                  { return "every" }
+
+// TestBankMatchesStationsTies feeds exact time ties across stations:
+// integer gaps 2, 3 and 4 add up exactly in float64, so every multiple
+// of 12 is an arrival of all 36 stations at once.  They must come out
+// in station order, as the (time, station) reference has them.
+func TestBankMatchesStationsTies(t *testing.T) {
+	const n, seed, until = 36, 59, 3000.0
+	factory := func(i int) ArrivalProcess { return everyGap(2 + i%3) }
+	want := referenceArrivals(n, seed, 0, factory, until)
+	got := bankArrivals(t, n, seed, 0, factory, 1, until)
+	ties := 0
+	for i := 1; i < len(got); i++ {
+		prev, cur := got[i-1], got[i]
+		if cur.at < prev.at || cur.at == prev.at && cur.origin <= prev.origin {
+			t.Fatalf("arrivals[%d..%d] = %+v, %+v, want (time, station) order", i-1, i, prev, cur)
+		}
+		if cur.at == prev.at {
+			ties++
+		}
+	}
+	if ties < len(got)/2 {
+		t.Fatalf("ties = %d of %d arrivals, want at least half; the case is vacuous", ties, len(got))
+	}
+	sameArrivals(t, got, want)
+}
+
+// TestBankMatchesStationsEpochs generates across the epoch size's
+// doubling and several capped epochs in uneven bursts, some of which stop
+// exactly where one epoch ends and the next begins: on the current
+// epoch's last drawn arrival, then on the next epoch's first.  After every
+// burst the bank must have created exactly the reference arrivals due.
+// The dense population doubles its epoch from 64 to 1024 arrivals and
+// draws from every station in every epoch; in the sparse one an epoch
+// touches about one station in eight.
+func TestBankMatchesStationsEpochs(t *testing.T) {
+	cases := []struct {
+		name        string
+		n           int
+		rate, until float64
+	}{
+		{"dense", 64, 0.05, 2500},
+		{"sparse", 8192, 5e-4, 2000},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 61
+			want := referenceArrivals(c.n, seed, c.rate, nil, c.until)
+			b, err := NewBank(c.n, seed, c.rate, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var epochs, capped, boundaries int
+			prev := b.minNext
+			stop := func(at float64) {
+				b.GenerateUntil(at)
+				due := sort.Search(len(want), func(i int) bool { return want[i].at > at })
+				if got := b.Created(); got != int64(due) {
+					t.Fatalf("Created() = %d after GenerateUntil(%v), want %d", got, at, due)
+				}
+				if b.minNext != prev {
+					prev = b.minNext
+					epochs++
+					if b.target == b.maxTarget {
+						capped++
+					}
+				}
+			}
+			// Steps run from half a mean inter-arrival time to ~100.
+			unit := 1 / (float64(c.n) * c.rate)
+			for step, at := 1.0, 0.0; at < c.until; step = math.Mod(step*7.3, 97) + 0.5 {
+				at = math.Min(at+step*unit, c.until)
+				stop(at)
+				if step < 40 || b.pos == len(b.ep) {
+					continue
+				}
+				if last := b.ep[len(b.ep)-1].at; last <= c.until && b.minNext <= c.until {
+					stop(last)
+					at = b.minNext
+					stop(at)
+					boundaries++
+				}
+			}
+			if capped < 2 || boundaries < 2 {
+				t.Fatalf("epochs = %d, capped = %d, boundary stops = %d, want >= 2 of each of the last two; the case is vacuous",
+					epochs, capped, boundaries)
+			}
+			sameArrivals(t, pendingArrivals(t, b), want)
+		})
+	}
+}
+
+// silentAfter gives its gap k times, then +Inf: the station goes silent.
+type silentAfter struct {
+	gap float64
+	k   int
+}
+
+func (s *silentAfter) NextGap(r *rngutil.Stream) float64 {
+	if s.k == 0 {
+		return math.Inf(1)
+	}
+	s.k--
+	return s.gap * (0.5 + r.Float64())
+}
+
+func (s *silentAfter) String() string { return "silent-after" }
+
+// TestBankMatchesStationsSilent runs a population in which one station
+// goes silent among Poisson ones, then one in which every station does:
+// GenerateUntil must return once all are silent, and NextArrivalAt must
+// then say +Inf.
+func TestBankMatchesStationsSilent(t *testing.T) {
+	const seed, until = 67, 5000.0
+	cases := []struct {
+		name    string
+		n       int
+		factory func(int) ArrivalProcess
+		silent  bool // every station falls silent before until
+	}{
+		{"one-silent", 9, func(i int) ArrivalProcess {
+			if i == 4 {
+				return &silentAfter{gap: 30, k: 5}
+			}
+			return Poisson{Rate: 0.02}
+		}, false},
+		{"all-silent", 9, func(i int) ArrivalProcess { return &silentAfter{gap: 40, k: 3 * i} }, true},
+		{"silent-from-start", 5, func(int) ArrivalProcess { return &silentAfter{gap: 1} }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := referenceArrivals(c.n, seed, 0, c.factory, until)
+			sameArrivals(t, bankArrivals(t, c.n, seed, 0, c.factory, 1, until), want)
+			if !c.silent {
+				return
+			}
+			b, err := NewBank(c.n, seed, 0, c.factory, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := b.GenerateUntil(math.MaxFloat64); got != len(want) {
+				t.Fatalf("GenerateUntil(MaxFloat64) = %d, want %d", got, len(want))
+			}
+			if got := b.NextArrivalAt(); !math.IsInf(got, 1) {
+				t.Fatalf("NextArrivalAt() = %v, want +Inf", got)
+			}
+			if got := b.GenerateUntil(math.Inf(1)); got != 0 {
+				t.Fatalf("GenerateUntil(+Inf) = %d once silent, want 0", got)
+			}
+		})
+	}
 }
 
 // TestBankWorkersBitIdentical pins the sharded initialization: child
@@ -175,5 +340,49 @@ func TestBankRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewBank(4, 1, 1, func(int) ArrivalProcess { return nil }, 1); err == nil {
 		t.Fatal("nil arrival process accepted")
+	}
+}
+
+// TestBankGenerateZeroAlloc pins the epoch buffers' reuse: once the
+// epoch size has reached its cap, generating and peeking across several
+// epoch refills allocates nothing.
+func TestBankGenerateZeroAlloc(t *testing.T) {
+	const n, rate = 1 << 16, 1e-4 // a capped epoch spans about 310 slots
+	b, err := NewBank(n, 71, rate, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	step := func() {
+		now++
+		b.GenerateUntil(now)
+		b.NextArrivalAt()
+		b.DiscardBelowFunc(now, nil)
+	}
+	// Warm up through the doubling and one capped epoch.
+	for b.target < b.maxTarget {
+		step()
+	}
+	for start := b.minNext; b.minNext == start; {
+		step()
+	}
+	// One measured run of many steps, so that a single allocation in any
+	// refill shows (AllocsPerRun divides by the run count).
+	var epochs int
+	allocs := testing.AllocsPerRun(1, func() {
+		epochs = 0
+		for i := 0; i < 1500; i++ {
+			prev := b.minNext
+			step()
+			if b.minNext != prev {
+				epochs++
+			}
+		}
+	})
+	if epochs < 3 {
+		t.Fatalf("epoch refills = %d over the measured steps, want >= 3; the gate is vacuous", epochs)
+	}
+	if allocs != 0 {
+		t.Fatalf("allocs over %d epoch refills = %v, want 0", epochs, allocs)
 	}
 }
