@@ -4,19 +4,19 @@
 // applied online to a live arrival stream instead of a batch simulation
 // horizon.
 //
-// Arrivals are ingested over HTTP (newline-delimited JSON on /ingest,
-// big-endian uint32 batch counts on /ingest.bin — the format cmd/windowload
-// speaks), over the binary TCP plane (-listen-tcp: internal/wire framed
-// counts decoded straight into the owed-arrival ledger, an order of
-// magnitude past the HTTP path), or generated internally with
-// -synthetic.  A single pump
-// goroutine owns the incremental engine (sim.Stepper): each iteration it
-// absorbs the ingest counter, advances one decision epoch of virtual
-// channel time, and releases absorbed arrivals into the engine at the
-// configured rate λ′ = ρ′/(M·τ), so under saturation the materialized
-// arrival process is Poisson(λ′) in channel time — the same law the batch
-// simulator draws, which is what makes the live shed fraction comparable
-// to the batch element-(4) discard rate.  The ingest→schedule hot path is
+// Arrivals are ingested over HTTP (newline-delimited JSON batch counts
+// on /ingest), over the binary TCP plane (-listen-tcp: internal/wire
+// framed counts decoded straight into the owed-arrival ledger, an order
+// of magnitude past the HTTP path), or generated internally with
+// -synthetic.  Both transports pass one admission check, which refuses
+// ingest while draining or while the owed backlog exceeds -max-owed.
+// A single pump goroutine owns the incremental engine (sim.Stepper):
+// each iteration it absorbs the ingest counter, advances one decision
+// epoch of virtual channel time, and releases absorbed arrivals into the
+// engine at the configured rate λ′ = ρ′/(M·τ), so under saturation the
+// materialized arrival process is Poisson(λ′) in channel time — the same
+// law the batch simulator draws, which is what makes the live shed
+// fraction comparable to the batch element-(4) discard rate.  The ingest→schedule hot path is
 // allocation-free at steady state.
 //
 // Observability: /debug/vars exposes the shared slot-level collector
@@ -38,7 +38,7 @@
 //
 // Usage:
 //
-//	windowd [-listen :8343] [-listen-tcp ADDR] [-tcp-max-owed N]
+//	windowd [-listen :8343] [-listen-tcp ADDR] [-max-owed N]
 //	        [-protocol controlled] [-tau 1] [-m 25]
 //	        [-k K | -km 2] [-load 0.75] [-g G] [-seed 1]
 //	        [-synthetic] [-estimate-rate] [-max-backlog N]
@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", ":8343", "HTTP listen address")
 	listenTCP := fs.String("listen-tcp", "", "binary-ingest TCP listen address (empty = disabled)")
-	maxOwed := fs.Int64("tcp-max-owed", 0, "shed TCP ingest while the owed-arrival backlog exceeds N messages (0 = unbounded)")
+	maxOwed := fs.Int64("max-owed", 0, "refuse HTTP and TCP ingest while the owed-arrival backlog exceeds N messages (0 = unbounded)")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ on the HTTP listener")
 	proto := fs.String("protocol", "controlled", "protocol to schedule with: "+strings.Join(windowctl.ProtocolNames(), " | "))
 	tau := fs.Float64("tau", 1, "slot time τ (virtual channel time units)")
@@ -172,11 +172,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	defer cancel()
 	_ = httpSrv.Shutdown(shCtx)
 
-	fin := s.final.Load()
+	fin := s.status.Load().final
 	if fin == nil {
 		return fmt.Errorf("pump exited without a final report")
 	}
-	fmt.Fprintf(stdout, "windowd: drained (ingested %d): %s\n", s.totalIngested.Load(), fin.rep.String())
+	fmt.Fprintf(stdout, "windowd: drained (ingested %d): %s\n", s.snapshot().Total, fin.rep.String())
 	fmt.Fprintf(stdout, "%s", s.shared.Format())
 	if fin.err != nil {
 		return fin.err

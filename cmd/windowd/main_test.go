@@ -108,7 +108,7 @@ func TestServerEndToEnd(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	fin := s.final.Load()
+	fin := s.status.Load().final
 	if fin == nil {
 		t.Fatal("no final result")
 	}
@@ -190,7 +190,7 @@ func TestServerConfigSwap(t *testing.T) {
 
 	s.beginDrain()
 	<-s.done
-	if fin := s.final.Load(); fin == nil || fin.err != nil {
+	if fin := s.status.Load().final; fin == nil || fin.err != nil {
 		t.Fatalf("drain after swap: %+v", fin)
 	}
 
@@ -211,7 +211,7 @@ func TestServerConfigSwap(t *testing.T) {
 // engine or the expvar surface being touched.
 func barePump(t testing.TB, o options) (*server, *pumpState) {
 	t.Helper()
-	srv := &server{shared: metrics.NewShared(o.tau, 256), opts: o}
+	srv := &server{shared: metrics.NewShared(o.tau, 256)}
 	st, est, err := o.engine(srv.shared)
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +297,14 @@ func TestReconfigureKeepsBooksBalanced(t *testing.T) {
 }
 
 // drain must keep re-absorbing the ingest counter: a request that passes
-// accept()'s draining check just as beginDrain fires books messages after
+// admit's draining check just as beginDrain fires books messages after
 // drain has begun, and they must still be scheduled, not stranded.
 func TestDrainAbsorbsLateIngest(t *testing.T) {
 	o := testOptions()
 	srv, p := barePump(t, o)
-	srv.ingested.Add(37) // booked by an accept() racing beginDrain
+	srv.ingested.Add(37) // booked by an admit racing beginDrain
 	p.drain()
-	fin := srv.final.Load()
+	fin := srv.status.Load().final
 	if fin == nil || fin.err != nil {
 		t.Fatalf("drain: %+v", fin)
 	}
@@ -337,47 +337,9 @@ func TestServerExtremeConstraintNoPanic(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	if fin := s.final.Load(); fin == nil || fin.err != nil {
+	if fin := s.status.Load().final; fin == nil || fin.err != nil {
 		t.Fatalf("empty run should finish cleanly: %+v", fin)
 	}
-}
-
-// The binary ingest format: big-endian uint32 counts, any number per
-// body, rejecting ragged lengths.
-func TestServerBinaryIngest(t *testing.T) {
-	s, err := newServer(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.routes())
-	defer ts.Close()
-
-	body := []byte{0, 0, 0, 100, 0, 0, 1, 44} // 100 + 300
-	resp, err := http.Post(ts.URL+"/ingest.bin", "application/octet-stream", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/ingest.bin: status %d", resp.StatusCode)
-	}
-	if got := s.totalIngested.Load(); got != 400 {
-		t.Errorf("ingested %d, want 400", got)
-	}
-
-	resp, err = http.Post(ts.URL+"/ingest.bin", "application/octet-stream", strings.NewReader("abc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("ragged body: status %d, want 400", resp.StatusCode)
-	}
-
-	s.beginDrain()
-	<-s.done
 }
 
 // The acceptance criterion's statistical half: the live shed fraction at
@@ -406,7 +368,7 @@ func TestServerSyntheticShedMatchesBatch(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	fin := s.final.Load()
+	fin := s.status.Load().final
 	if fin == nil || fin.err != nil {
 		t.Fatalf("synthetic run failed: %+v", fin)
 	}
@@ -505,7 +467,7 @@ func TestRunSIGTERMAtReadyDrains(t *testing.T) {
 // wraps to -9223372036854775808.  With the bug, that total is booked with
 // 202 Accepted, the pump clamps its release to the negative ledger and
 // windowd dies with "sim: negative arrival count".  A record above
-// 2^32−1 (the wire protocol's and /ingest.bin's per-entry bound) must
+// 2^32−1 (the wire protocol's per-entry bound) must
 // instead be refused with 400, booking nothing.
 func TestIngestRejectsOversizedCount(t *testing.T) {
 	s, err := newServer(testOptions())
@@ -529,7 +491,7 @@ func TestIngestRejectsOversizedCount(t *testing.T) {
 			t.Errorf("POST /ingest %q: status %d (%s), want 400", body, resp.StatusCode, bytes.TrimSpace(msg))
 		}
 	}
-	if got := s.totalIngested.Load(); got != 0 {
+	if got := s.snapshot().Total; got != 0 {
 		t.Errorf("ingested total = %d after refused bodies, want 0", got)
 	}
 
@@ -542,10 +504,109 @@ func TestIngestRejectsOversizedCount(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	if fin := s.final.Load(); fin == nil || fin.err != nil {
+	if fin := s.status.Load().final; fin == nil || fin.err != nil {
 		t.Fatalf("drain after refused bodies: %+v", fin)
 	}
 	if got := s.shared.Snapshot().Arrivals; got != 5 {
 		t.Errorf("arrivals = %d, want the 5 of the valid body", got)
+	}
+}
+
+// TestIngestRejectsOversizedBody pins the /ingest body bound.  The body
+// is 20 MiB of 2 621 440 eight-byte `{}     \n` records, each one
+// message.  With the bug, a reader cut at 16 MiB ended the scan as if
+// the body had ended there, and windowd answered 202 {"accepted":2097152}:
+// accepted 2097152 of 2621440, the other 524 288 dropped without an
+// error.  A body past the bound must be refused whole with 413, booking
+// nothing.
+func TestIngestRejectsOversizedBody(t *testing.T) {
+	s, err := newServer(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.beginDrain(); <-s.done }()
+
+	const records = 20 << 20 / 8
+	body := bytes.Repeat([]byte("{}     \n"), records)
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /ingest of %d records in 20 MiB: status %d %s, want 413 (the truncating reader gave 202, accepted %d of %d)",
+			records, rec.Code, bytes.TrimSpace(rec.Body.Bytes()), maxIngestBody/8, records)
+	}
+	if got := s.snapshot().Total; got != 0 {
+		t.Errorf("ingested total = %d after an oversized body, want 0 (accepted %d of %d)", got, got, records)
+	}
+}
+
+// TestHTTPIngestOwedBound pins -max-owed on the HTTP plane.  The server
+// has no pump, so nothing it books is ever absorbed: the first body
+// (100 messages, admitted at an owed backlog of 0) leaves the backlog
+// past the bound of 10, and the next body must be refused with 503,
+// booking nothing — as the TCP plane sheds its next frame.  With the
+// bug only the TCP plane checked the bound, and HTTP answered 202 and
+// booked the second body too (ingested 101).
+func TestHTTPIngestOwedBound(t *testing.T) {
+	srv := &server{shared: metrics.NewShared(1, 256), notify: make(chan struct{}, 1)}
+	srv.status.Store(&engineStatus{opts: &options{maxOwed: 10}})
+	h := srv.routes()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+		return rec
+	}
+	if rec := post("{\"count\":100}\n"); rec.Code != http.StatusAccepted {
+		t.Fatalf("first POST /ingest under the bound: status %d %s, want 202", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	if rec := post("{\"count\":1}\n"); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("POST /ingest with 100 owed past -max-owed 10: status %d %s, want 503 (HTTP booked with no owed bound)",
+			rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	if got := srv.snapshot(); got.Total != 100 || got.HTTP != 100 {
+		t.Errorf("ingested total %d (http %d), want 100: the refused body must book nothing", got.Total, got.HTTP)
+	}
+}
+
+// The third ingest encoding is gone: /ingest.bin is not routed.
+func TestIngestBinRemoved(t *testing.T) {
+	s, err := newServer(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.beginDrain(); <-s.done }()
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest("POST", "/ingest.bin", bytes.NewReader([]byte{0, 0, 0, 1})))
+	if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /ingest.bin: status %d, want 404 or 405", rec.Code)
+	}
+	if got := s.snapshot().Total; got != 0 {
+		t.Errorf("ingested total = %d after POST /ingest.bin, want 0", got)
+	}
+}
+
+// The drain stops a synthetic pump generating, but /config GET, which
+// renders the pump's published options, still reports the
+// configuration the service ran with.
+func TestDrainKeepsReportedConfig(t *testing.T) {
+	o := testOptions()
+	o.synthetic = true
+	s, err := newServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.beginDrain()
+	select {
+	case <-s.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not complete")
+	}
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/config", nil))
+	var cfg map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg["synthetic"] != true {
+		t.Errorf("/config GET after the drain: synthetic = %v, want true", cfg["synthetic"])
 	}
 }

@@ -74,7 +74,7 @@ func TestSaturatedPumpServesControl(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("saturated pump never noticed the drain")
 	}
-	if fin := s.final.Load(); fin == nil || fin.err != nil {
+	if fin := s.status.Load().final; fin == nil || fin.err != nil {
 		t.Fatalf("drain after swap: %+v", fin)
 	}
 }

@@ -3,8 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -29,7 +29,7 @@ import (
 type options struct {
 	listen       string
 	listenTCP    string // binary ingest plane address ("" = disabled)
-	maxOwed      int64  // shed TCP frames past this owed backlog (0 = unbounded)
+	maxOwed      int64  // refuse ingest past this owed backlog (0 = unbounded)
 	pprof        bool
 	protocol     string
 	tau          float64
@@ -74,7 +74,7 @@ func (o options) validate() error {
 		return fmt.Errorf("-max-backlog must be >= 0, got %d", o.maxBacklog)
 	}
 	if o.maxOwed < 0 {
-		return fmt.Errorf("-tcp-max-owed must be >= 0, got %d", o.maxOwed)
+		return fmt.Errorf("-max-owed must be >= 0, got %d", o.maxOwed)
 	}
 	if o.drainTimeout <= 0 {
 		return fmt.Errorf("-drain-timeout must be positive, got %v", o.drainTimeout)
@@ -122,7 +122,9 @@ func (o options) engine(col metrics.Collector) (*sim.Stepper, *window.RateEstima
 
 // engineStatus is the pump's published state, refreshed at step
 // boundaries (where the conservation invariants hold exactly) and
-// exported as the "windowd_engine" expvar.
+// exported as the "windowd_engine" expvar.  It also carries what the
+// JSON leaves out: the options in effect, which /config GET renders, and
+// once the pump has finished, its final report.
 type engineStatus struct {
 	Protocol     string  `json:"protocol"`
 	RhoPrime     float64 `json:"rho_prime"`
@@ -136,6 +138,9 @@ type engineStatus struct {
 	Conservation string  `json:"conservation"`
 	Draining     bool    `json:"draining"`
 	Finished     bool    `json:"finished"`
+
+	opts  *options     // shared by every status until the next swap
+	final *finalResult // nil until Finished
 }
 
 type finalResult struct {
@@ -148,23 +153,45 @@ type ctrlMsg struct {
 	reply chan error
 }
 
+// ingestBooks is the ingest side of the books: what admit has booked
+// per transport and the pump has yet to absorb, and the pump's owed
+// ledger as the admission bound sees it.  Handlers and TCP readers
+// write it only through admit; snapshot is its one rendering.
+type ingestBooks struct {
+	ingested  atomic.Int64 // admitted, not yet absorbed by the pump
+	viaHTTP   atomic.Int64 // messages booked per transport; the total is their sum
+	viaTCP    atomic.Int64
+	tcpFrames atomic.Int64 // counts frames booked by the TCP plane
+	tcpConns  atomic.Int64 // open TCP ingest connections (gauge)
+	owedGauge atomic.Int64 // pump's owed ledger, stored whenever it changes
+}
+
+// ingestSnapshot is the "windowd_ingest" expvar.  Its fields are in key
+// order, the order encoding/json gives a map's keys.
+type ingestSnapshot struct {
+	Conns  int64 `json:"conns"`
+	Frames int64 `json:"frames"`
+	HTTP   int64 `json:"http"`
+	TCP    int64 `json:"tcp"`
+	Total  int64 `json:"total"`
+}
+
+func (b *ingestBooks) snapshot() ingestSnapshot {
+	h, t := b.viaHTTP.Load(), b.viaTCP.Load()
+	return ingestSnapshot{
+		Conns: b.tcpConns.Load(), Frames: b.tcpFrames.Load(),
+		HTTP: h, TCP: t, Total: h + t,
+	}
+}
+
 // server owns the engine pump and the HTTP surface.  All engine access
 // happens on the single pump goroutine; handlers communicate through the
-// ingested counter, the notify channel and the ctrl channel.
+// ingest books, the notify channel and the ctrl channel, and read the
+// pump's state from status.
 type server struct {
+	ingestBooks
 	shared *metrics.Shared
-
-	ingested      atomic.Int64 // accepted by handlers, not yet absorbed
-	totalIngested atomic.Int64
-	ingestedHTTP  atomic.Int64 // per-transport slices of totalIngested
-	ingestedTCP   atomic.Int64
-	tcpFrames     atomic.Int64 // counts frames absorbed by the TCP plane
-	tcpConns      atomic.Int64 // open TCP ingest connections (gauge)
-	owedGauge     atomic.Int64 // pump's owed ledger, stored whenever it changes
-
-	tcp     *tcpPlane // nil when -listen-tcp is off
-	maxOwed int64
-	pprofOn bool
+	tcp    *tcpPlane // nil when -listen-tcp is off
 
 	draining atomic.Bool
 	notify   chan struct{}
@@ -178,12 +205,6 @@ type server struct {
 	done        chan struct{}
 
 	status atomic.Pointer[engineStatus]
-	final  atomic.Pointer[finalResult]
-
-	optsMu sync.Mutex
-	opts   options
-
-	startWall time.Time
 }
 
 func newServer(o options) (*server, error) {
@@ -198,15 +219,11 @@ func newServer(o options) (*server, error) {
 	}
 	bins := int(b)
 	s := &server{
-		shared:    metrics.NewShared(o.tau, bins+64),
-		notify:    make(chan struct{}, 1),
-		ctrl:      make(chan ctrlMsg),
-		drainCh:   make(chan struct{}),
-		done:      make(chan struct{}),
-		opts:      o,
-		maxOwed:   o.maxOwed,
-		pprofOn:   o.pprof,
-		startWall: time.Now(),
+		shared:  metrics.NewShared(o.tau, bins+64),
+		notify:  make(chan struct{}, 1),
+		ctrl:    make(chan ctrlMsg),
+		drainCh: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	st, est, err := o.engine(s.shared)
 	if err != nil {
@@ -224,33 +241,14 @@ func newServer(o options) (*server, error) {
 		return nil, err
 	}
 	if err := metrics.PublishVar("windowd_ingest", expvar.Func(func() any {
-		return map[string]int64{
-			"total":  s.totalIngested.Load(),
-			"http":   s.ingestedHTTP.Load(),
-			"tcp":    s.ingestedTCP.Load(),
-			"frames": s.tcpFrames.Load(),
-			"conns":  s.tcpConns.Load(),
-		}
+		return s.snapshot()
 	})); err != nil {
 		return nil, err
 	}
-	s.status.Store(&engineStatus{Protocol: o.protocol, RhoPrime: o.load, Lambda: o.lambda(), K: o.constraint(), Conservation: "ok"})
-	go s.pump(st, o, est)
+	p := newPumpState(s, st, o, est)
+	p.publish(nil)
+	go p.run()
 	return s, nil
-}
-
-// currentOpts returns the configuration in effect (the pump updates it on
-// reconfiguration).
-func (s *server) currentOpts() options {
-	s.optsMu.Lock()
-	defer s.optsMu.Unlock()
-	return s.opts
-}
-
-func (s *server) setOpts(o options) {
-	s.optsMu.Lock()
-	s.opts = o
-	s.optsMu.Unlock()
 }
 
 // beginDrain asks the pump to run the backlog dry and finish; it is
@@ -272,14 +270,17 @@ func (s *server) beginDrain() {
 // pumpState is the pump goroutine's working set: the engine, the release
 // RNG and the owed-arrival ledger.
 type pumpState struct {
-	s     *server
-	st    *sim.Stepper
-	o     options
-	lam   float64
-	est   *window.RateEstimator
-	rel   *rngutil.Stream
-	owed  int64
-	steps uint64
+	s   *server
+	st  *sim.Stepper
+	o   *options // in effect, as published; never written through
+	lam float64
+	// synthetic is o.synthetic until the drain clears it: the drain
+	// stops generating without changing the published options.
+	synthetic bool
+	est       *window.RateEstimator
+	rel       *rngutil.Stream
+	owed      int64
+	steps     uint64
 	// relMean and relExp memoise the last release mean and exp(−relMean):
 	// idle epochs all last one slot, so the mean repeats step after step.
 	relMean, relExp float64
@@ -287,7 +288,7 @@ type pumpState struct {
 
 func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimator) *pumpState {
 	return &pumpState{
-		s: s, st: st, o: o, lam: o.lambda(), est: est,
+		s: s, st: st, o: &o, lam: o.lambda(), synthetic: o.synthetic, est: est,
 		// The release stream is separate from the engine's seed so the
 		// engine's own randomness stays aligned with an equally-seeded
 		// batch run.
@@ -296,12 +297,13 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 	}
 }
 
-// pump is the single goroutine owning the engine.  Each iteration absorbs
-// the ingest counter, advances one decision epoch, and releases absorbed
-// arrivals into the engine at the configured virtual rate λ′ — so under
-// saturation the materialized arrival process is Poisson(λ′) in channel
-// time, matching the batch simulator's arrival law, while the owed ledger
-// (a plain integer) absorbs any wall-clock burst without allocating.
+// run is the pump, the single goroutine owning the engine.  Each
+// iteration absorbs the ingest counter, advances one decision epoch, and
+// releases absorbed arrivals into the engine at the configured virtual
+// rate λ′ — so under saturation the materialized arrival process is
+// Poisson(λ′) in channel time, matching the batch simulator's arrival
+// law, while the owed ledger (a plain integer) absorbs any wall-clock
+// burst without allocating.
 //
 // At the figure-7 point the protocol probes about eleven mostly idle
 // slots per admission decision.  The pump takes each run of idle slots in
@@ -309,9 +311,9 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 // the loop's fixed cost small: the control plane is polled with one
 // atomic load, and the channel select runs only once a /config handler
 // or the drain has raised ctrlWaiting.
-func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
+func (p *pumpState) run() {
+	s := p.s
 	defer close(s.done)
-	p := newPumpState(s, st, o, est)
 	for {
 		if s.ctrlWaiting.Load() != 0 {
 			select {
@@ -327,7 +329,7 @@ func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 			}
 		}
 		p.absorb()
-		if !p.o.synthetic && p.owed == 0 && p.st.Backlog() == 0 {
+		if !p.synthetic && p.owed == 0 && p.st.Backlog() == 0 {
 			// Idle: nothing to schedule and nothing owed.  Freeze virtual
 			// time and park until an ingest, reconfiguration or drain.
 			p.publish(p.st.CheckNow())
@@ -370,7 +372,7 @@ func (p *pumpState) absorb() {
 // the next multiple of 1024 steps, where the pump publishes its status.
 // With the engine warm it performs zero allocations per call.
 func (p *pumpState) step() error {
-	if p.o.synthetic || p.owed > 0 {
+	if p.synthetic || p.owed > 0 {
 		slots, n := p.st.IdleRun(1024-int(p.steps&1023), p.release)
 		if slots > 0 {
 			p.steps += uint64(slots)
@@ -406,7 +408,7 @@ func (p *pumpState) release(elapsed float64) int {
 // inject hands n released arrivals to the engine, clamped to the owed
 // ledger unless the pump generates its own arrivals.
 func (p *pumpState) inject(n int64) {
-	if !p.o.synthetic {
+	if !p.synthetic {
 		if n > p.owed {
 			n = p.owed
 		}
@@ -439,13 +441,12 @@ func (p *pumpState) reconfigure(m ctrlMsg) {
 	}
 	carry := p.st.Backlog()
 	_, err = p.st.Finish()
-	p.st, p.est, p.o, p.lam = st, est, m.opts, m.opts.lambda()
+	p.st, p.est, p.o, p.lam, p.synthetic = st, est, &m.opts, m.opts.lambda(), m.opts.synthetic
 	if carry > 0 {
 		p.st.Inject(carry)
 	}
-	// Publish the swap before replying: the handler renders the current
-	// options as soon as the reply wakes it.
-	p.s.setOpts(m.opts)
+	// Publish the swap before replying: the handler renders the
+	// published options as soon as the reply wakes it.
 	p.publish(nil)
 	if err != nil {
 		// The outgoing engine's books do not balance: surface it to the
@@ -465,10 +466,10 @@ func (p *pumpState) drain() {
 	// before the final accounting below.
 	p.s.shutdownTCP(2 * time.Second)
 	deadline := time.Now().Add(p.o.drainTimeout)
-	p.o.synthetic = false // stop generating; only owed messages remain
+	p.synthetic = false // stop generating; only owed messages remain
 	for time.Now().Before(deadline) {
 		// Re-absorb the counter every iteration: a request that passed
-		// accept()'s draining check just as beginDrain fired may add to
+		// admit's draining check just as beginDrain fired may add to
 		// ingested after drain has started, and a single up-front Swap
 		// would strand those acknowledged messages unscheduled.
 		p.absorb()
@@ -484,7 +485,7 @@ func (p *pumpState) drain() {
 		}
 	}
 	if p.owed += p.s.ingested.Swap(0); p.owed > 0 {
-		// Timeout (or a last racing accept) with messages still owed:
+		// Timeout (or a last racing admit) with messages still owed:
 		// materialize them so the books balance; Finish classifies them
 		// as censored residents.
 		p.st.Inject(int(p.owed))
@@ -492,21 +493,21 @@ func (p *pumpState) drain() {
 	}
 	p.s.owedGauge.Store(0)
 	rep, err := p.st.Finish()
-	p.s.final.Store(&finalResult{rep: rep, err: err})
-	p.publishFinished(err)
+	p.finish(rep, err)
 }
 
 func (p *pumpState) fail(err error) {
 	rep, _ := p.st.Finish()
-	p.s.final.Store(&finalResult{rep: rep, err: err})
-	p.publishFinished(err)
+	p.finish(rep, err)
 }
 
-func (p *pumpState) publish(conservation error) {
+// status assembles the state publish stores.
+func (p *pumpState) status(conservation error) *engineStatus {
 	st := &engineStatus{
 		Protocol: p.o.protocol, RhoPrime: p.o.load, Lambda: p.lam, K: p.o.constraint(),
 		VirtualNow: p.st.Now(), Backlog: p.st.Backlog(), OwedArrivals: p.owed,
 		Steps: p.steps, Conservation: "ok", Draining: p.s.draining.Load(),
+		opts: p.o,
 	}
 	if p.est != nil {
 		st.RateEstimate = p.est.Rate()
@@ -514,28 +515,28 @@ func (p *pumpState) publish(conservation error) {
 	if conservation != nil {
 		st.Conservation = conservation.Error()
 	}
-	s := p.s
-	s.status.Store(st)
+	return st
 }
 
-func (p *pumpState) publishFinished(err error) {
-	p.publish(err)
-	st := *p.s.status.Load()
-	st.Finished = true
-	p.s.status.Store(&st)
+func (p *pumpState) publish(conservation error) { p.s.status.Store(p.status(conservation)) }
+
+// finish publishes the pump's last state with its final result.
+func (p *pumpState) finish(rep sim.Report, err error) {
+	st := p.status(err)
+	st.Finished, st.final = true, &finalResult{rep: rep, err: err}
+	p.s.status.Store(st)
 }
 
 // routes builds the HTTP surface.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /ingest.bin", s.handleIngestBin)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /config", s.handleConfigGet)
 	mux.HandleFunc("POST /config", s.handleConfigPost)
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	if s.pprofOn {
+	if s.status.Load().opts.pprof {
 		mux.HandleFunc("GET /debug/pprof/", httppprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", httppprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", httppprof.Profile)
@@ -546,36 +547,44 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// book credits n externally arrived messages to a transport counter and
-// wakes the pump.  It is the single booking point shared by the HTTP
-// handlers and the TCP readers — one atomic add per batch, no locks.
-func (s *server) book(n int64, transport *atomic.Int64) {
+var (
+	errDraining   = errors.New("draining")
+	errOverloaded = errors.New("owed backlog past -max-owed")
+)
+
+// admit books n externally arrived messages to one transport's counter
+// and wakes the pump.  It is the single admission point shared by the
+// HTTP handlers and the TCP readers: once the server is draining, or
+// while the owed backlog exceeds -max-owed, it books nothing and says
+// why.  The backlog estimate sums the un-absorbed counter (exact) and
+// the pump's owed gauge (refreshed every pump iteration), so the bound
+// lags true overload by at most one epoch.
+func (s *server) admit(n int64, via *atomic.Int64) error {
+	if s.draining.Load() {
+		return errDraining
+	}
+	if bound := s.status.Load().opts.maxOwed; bound > 0 && s.ingested.Load()+s.owedGauge.Load() > bound {
+		return errOverloaded
+	}
 	s.ingested.Add(n)
-	s.totalIngested.Add(n)
-	transport.Add(n)
+	via.Add(n)
 	select {
 	case s.notify <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
-// accept books n externally arrived messages from an HTTP request.
-func (s *server) accept(w http.ResponseWriter, n int64) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	s.book(n, &s.ingestedHTTP)
-	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintf(w, "{\"accepted\":%d}\n", n)
-}
+// maxIngestBody bounds an /ingest body; a longer one is refused whole.
+const maxIngestBody = 16 << 20
 
 // handleIngest accepts newline-delimited JSON records, one batch per
 // line: {"count": N} with 0 <= N <= 2^32−1.  An empty object (or omitted
 // count) means one message.  The whole body is booked atomically at the
-// end.
+// end, or not at all: a malformed record is a 400 and a body past
+// maxIngestBody a 413.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(io.LimitReader(r.Body, 16<<20))
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<10)
 	var total int64
 	for sc.Scan() {
@@ -599,49 +608,28 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if n > math.MaxUint32 {
-			// The per-entry bound of the wire protocol and /ingest.bin.  It
-			// keeps the body's total far from int64 overflow: 16 MB holds
-			// fewer than 2^23 records.
+			// The per-entry bound of the wire protocol.  It keeps the
+			// body's total far from int64 overflow: 16 MiB holds fewer
+			// than 2^23 records.
 			http.Error(w, fmt.Sprintf("count %d exceeds %d", n, uint32(math.MaxUint32)), http.StatusBadRequest)
 			return
 		}
 		total += n
 	}
 	if err := sc.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
-	s.accept(w, total)
-}
-
-// handleIngestBin accepts the allocation-light wire format the load
-// generator uses: a body of big-endian uint32 batch counts (usually just
-// one), summed and booked in a single atomic add.
-func (s *server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
-	var buf [4096]byte
-	var total int64
-	rem := 0
-	for {
-		n, err := r.Body.Read(buf[rem:])
-		n += rem
-		for i := 0; i+4 <= n; i += 4 {
-			total += int64(binary.BigEndian.Uint32(buf[i : i+4]))
-		}
-		rem = n % 4
-		copy(buf[:rem], buf[n-rem:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if rem != 0 {
-		http.Error(w, "body length is not a multiple of 4", http.StatusBadRequest)
+	if err := s.admit(total, &s.viaHTTP); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	s.accept(w, total)
+	w.WriteHeader(http.StatusAccepted)
+	fmt.Fprintf(w, "{\"accepted\":%d}\n", total)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -677,12 +665,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "%s %v\n", name, v)
 		}
 	}
+	in := s.snapshot()
 	line("windowd_arrivals_total", snap.Arrivals)
-	line("windowd_ingested_total", s.totalIngested.Load())
-	fmt.Fprintf(w, "windowd_ingested_total{transport=\"http\"} %d\n", s.ingestedHTTP.Load())
-	fmt.Fprintf(w, "windowd_ingested_total{transport=\"tcp\"} %d\n", s.ingestedTCP.Load())
-	line("windowd_ingest_frames_total", s.tcpFrames.Load())
-	line("windowd_ingest_conns", s.tcpConns.Load())
+	line("windowd_ingested_total", in.Total)
+	fmt.Fprintf(w, "windowd_ingested_total{transport=\"http\"} %d\n", in.HTTP)
+	fmt.Fprintf(w, "windowd_ingested_total{transport=\"tcp\"} %d\n", in.TCP)
+	line("windowd_ingest_frames_total", in.Frames)
+	line("windowd_ingest_conns", in.Conns)
 	line("windowd_transmissions_total", snap.Transmissions)
 	line("windowd_accepted_total", snap.Accepted)
 	line("windowd_late_total", snap.Late)
@@ -728,7 +717,7 @@ func formatFloat(v float64) string {
 }
 
 func (s *server) handleConfigGet(w http.ResponseWriter, r *http.Request) {
-	o := s.currentOpts()
+	o := *s.status.Load().opts
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"protocol": o.protocol, "tau": o.tau, "m": o.m, "k": o.constraint(),
@@ -736,7 +725,7 @@ func (s *server) handleConfigGet(w http.ResponseWriter, r *http.Request) {
 		"synthetic": o.synthetic, "estimate_rate": o.estimateRate,
 		"max_backlog": o.maxBacklog, "drain_timeout": o.drainTimeout.String(),
 		"listen_tcp": o.listenTCP, "tcp_addr": s.tcpAddr(),
-		"tcp_max_owed": o.maxOwed,
+		"max_owed": o.maxOwed,
 	})
 }
 
@@ -766,7 +755,7 @@ func (s *server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tau cannot change at runtime (metrics bin width is fixed at tau)", http.StatusBadRequest)
 		return
 	}
-	o := s.currentOpts()
+	o := *s.status.Load().opts
 	if req.Protocol != nil {
 		o.protocol = *req.Protocol
 	}

@@ -12,8 +12,8 @@ import (
 // tcpPlane is the binary ingest plane: one accept loop, one reader
 // goroutine per connection, frames decoded straight into the owed-
 // arrival ledger.  There are no channel hops and no per-message locks —
-// a decoded counts frame becomes one atomic add, the same booking an
-// HTTP 202 performs, so everything downstream (pump absorption, release
+// a decoded counts frame goes through admit, the same booking an HTTP
+// 202 performs, so everything downstream (pump absorption, release
 // law, drain accounting) is transport-agnostic.
 type tcpPlane struct {
 	s  *server
@@ -108,10 +108,10 @@ func (s *server) shutdownTCP(timeout time.Duration) {
 
 // handle is the per-connection reader: a connection-scoped decoder
 // buffer sized from the frame bound, counts frames summed in place and
-// booked with one atomic add, an ack every wire.AckEvery frames and a
-// final ack at half-close.  Frames arriving once the server is draining
-// or past its owed-arrival bound are answered with an overloaded frame
-// — NOT absorbed — and the connection closes; everything acknowledged
+// booked through admit, an ack every wire.AckEvery frames and a final
+// ack at half-close.  A frame admit refuses (the server is draining or
+// past its owed-arrival bound) is answered with an overloaded frame —
+// NOT absorbed — and the connection closes; everything acknowledged
 // before that point is absorbed-then-verified exactly like an HTTP 202.
 func (t *tcpPlane) handle(conn net.Conn) {
 	defer t.wg.Done()
@@ -141,11 +141,10 @@ func (t *tcpPlane) handle(conn net.Conn) {
 		if f.Type != wire.TypeCounts {
 			return // clients may only send counts frames
 		}
-		if s.draining.Load() || s.tcpOverloaded() {
+		if s.admit(int64(f.Sum()), &s.viaTCP) != nil {
 			conn.Write(wire.AppendControl(out[:0], wire.TypeOverloaded, frames, false))
 			return
 		}
-		s.book(int64(f.Sum()), &s.ingestedTCP)
 		frames++
 		s.tcpFrames.Add(1)
 		if frames%wire.AckEvery == 0 {
@@ -154,15 +153,4 @@ func (t *tcpPlane) handle(conn net.Conn) {
 			}
 		}
 	}
-}
-
-// tcpOverloaded reports whether the owed-arrival backlog exceeds the
-// configured bound.  The estimate sums the un-absorbed ingest counter
-// (exact) and the pump's owed ledger gauge (refreshed every pump
-// iteration), so detection lags true overload by at most one epoch.
-func (s *server) tcpOverloaded() bool {
-	if s.maxOwed <= 0 {
-		return false
-	}
-	return s.ingested.Load()+s.owedGauge.Load() > s.maxOwed
 }

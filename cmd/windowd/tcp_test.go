@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -56,7 +56,7 @@ func TestTCPIngestEndToEnd(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	// The final ack arrives after the server booked every frame.
-	if got := s.totalIngested.Load(); got != frames*per {
+	if got := s.snapshot().Total; got != frames*per {
 		t.Fatalf("ingested %d, want %d", got, frames*per)
 	}
 
@@ -111,7 +111,7 @@ func TestTCPIngestEndToEnd(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	fin := s.final.Load()
+	fin := s.status.Load().final
 	if fin == nil || fin.err != nil {
 		t.Fatalf("drain: %+v", fin)
 	}
@@ -143,10 +143,10 @@ func TestTCPIngestEndToEnd(t *testing.T) {
 func bareTCPServer(t *testing.T, maxOwed int64) (*server, string) {
 	t.Helper()
 	srv := &server{
-		shared:  metrics.NewShared(1, 256),
-		notify:  make(chan struct{}, 1),
-		maxOwed: maxOwed,
+		shared: metrics.NewShared(1, 256),
+		notify: make(chan struct{}, 1),
 	}
+	srv.status.Store(&engineStatus{opts: &options{maxOwed: maxOwed}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func bareTCPServer(t *testing.T, maxOwed int64) (*server, string) {
 	return srv, ln.Addr().String()
 }
 
-// TestTCPOverloadShed: past -tcp-max-owed the server answers with an
+// TestTCPOverloadShed: past -max-owed the server answers with an
 // overloaded frame and does NOT absorb the shed frame; the client
 // surfaces wire.ErrOverloaded with the absorbed prefix acknowledged.
 func TestTCPOverloadShed(t *testing.T) {
@@ -180,7 +180,7 @@ func TestTCPOverloadShed(t *testing.T) {
 	if c.Acked() != 1 {
 		t.Errorf("acked %d frames, want the 1 absorbed before the bound tripped", c.Acked())
 	}
-	if got := srv.totalIngested.Load(); got != 100 {
+	if got := srv.snapshot().Total; got != 100 {
 		t.Errorf("ingested %d, want 100 (shed frames must not be absorbed)", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestTCPDrainAbsorbsInflight(t *testing.T) {
 
 	// Let some frames land, then cut the plane mid-stream.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.totalIngested.Load() == 0 {
+	for s.snapshot().Total == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no frames absorbed")
 		}
@@ -222,13 +222,13 @@ func TestTCPDrainAbsorbsInflight(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	fin := s.final.Load()
+	fin := s.status.Load().final
 	if fin == nil || fin.err != nil {
 		t.Fatalf("drain conservation: %+v", fin)
 	}
 	snap := s.shared.Snapshot()
-	if snap.Arrivals != s.totalIngested.Load() {
-		t.Errorf("arrivals %d != booked %d: acknowledged frames stranded", snap.Arrivals, s.totalIngested.Load())
+	if snap.Arrivals != s.snapshot().Total {
+		t.Errorf("arrivals %d != booked %d: acknowledged frames stranded", snap.Arrivals, s.snapshot().Total)
 	}
 	resident := int64(fin.rep.EndBacklog)
 	if snap.Transmissions+snap.Discards+resident != snap.Arrivals {
@@ -289,7 +289,7 @@ func TestHTTPvsTCPSaturation(t *testing.T) {
 		case <-time.After(90 * time.Second):
 			t.Fatal("drain did not complete")
 		}
-		fin := s.final.Load()
+		fin := s.status.Load().final
 		if fin == nil || fin.err != nil {
 			t.Fatalf("drain: %+v", fin)
 		}
@@ -307,22 +307,21 @@ func TestHTTPvsTCPSaturation(t *testing.T) {
 		}
 	}
 
-	// HTTP leg: one keep-alive connection, one 4-byte count per POST.
+	// HTTP leg: one keep-alive connection, one NDJSON count per POST.
 	httpRate := func() float64 {
 		s, base, _ := startTCPServer(t, o)
-		var body [4]byte
-		binary.BigEndian.PutUint32(body[:], batch)
+		body := []byte(fmt.Sprintf("{\"count\":%d}\n", batch))
 		client := &http.Client{}
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			resp, err := client.Post(base+"/ingest.bin", "application/octet-stream", bytes.NewReader(body[:]))
+			resp, err := client.Post(base+"/ingest", "application/x-ndjson", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("/ingest.bin: status %d", resp.StatusCode)
+				t.Fatalf("/ingest: status %d", resp.StatusCode)
 			}
 		}
 		elapsed := time.Since(start)

@@ -17,9 +17,8 @@
 //
 // Two transports:
 //
-//   - http (default): counts ship on windowd's binary endpoint
-//     (/ingest.bin, one big-endian uint32 per tick), so the generator
-//     adds no parsing load to the system under test.
+//   - http (default): counts ship as NDJSON on windowd's /ingest, one
+//     {"count":N} line per tick.
 //   - tcp: counts ship as internal/wire frames over -conns pipelined
 //     connections to the target's -listen-tcp plane (address
 //     autodiscovered from /config, or set with -tcp-target); per-tick
@@ -45,8 +44,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -54,6 +51,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"windowctl/internal/metrics"
@@ -221,8 +219,8 @@ type shipper interface {
 	finish() error
 }
 
-// httpShipper posts one batch count per tick on the binary ingest
-// endpoint, timing each request.
+// httpShipper posts one NDJSON batch count per tick to /ingest, timing
+// each request.
 type httpShipper struct {
 	client *http.Client
 	target string
@@ -230,10 +228,9 @@ type httpShipper struct {
 }
 
 func (h *httpShipper) ship(n int) (int64, error) {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(n))
+	body := fmt.Sprintf("{\"count\":%d}\n", n)
 	t0 := time.Now()
-	resp, err := h.client.Post(h.target+"/ingest.bin", "application/octet-stream", bytes.NewReader(buf[:]))
+	resp, err := h.client.Post(h.target+"/ingest", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

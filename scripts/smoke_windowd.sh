@@ -11,7 +11,9 @@
 #   3. a TCP-ingest burst (windowload -transport tcp against the
 #      -listen-tcp plane) settles with exact accounting scraped from
 #      /debug/vars: ingested == transmitted + discarded + resident,
-#      with /healthz still 200 afterwards,
+#      with /healthz still 200 afterwards; both transports booked
+#      something, and /metrics renders the same ingest total as
+#      /debug/vars,
 #   4. SIGTERM drains cleanly: exit status 0 and the
 #      "conservation invariants verified" marker on stdout.
 #
@@ -76,8 +78,13 @@ done
 ing_http=$(jsonint http); ing_tcp=$(jsonint tcp)
 arr=$(jsonint arrivals); tx2=$(jsonint transmissions)
 shed=$(jsonint discards); resident=$(jsonint backlog)
+[ "$ing_http" -gt 0 ] || { echo "http (NDJSON) leg ingested nothing"; exit 1; }
 [ "$ing_tcp" -gt 0 ] || { echo "tcp plane ingested nothing"; exit 1; }
 ingested=$((ing_http + ing_tcp))
+vars_total=$(jsonint total)
+metrics_total=$(curl -fsS "http://$addr/metrics" | awk '$1 == "windowd_ingested_total" { print $2; exit }')
+[ "$metrics_total" = "$vars_total" ] \
+    || { echo "/metrics windowd_ingested_total $metrics_total != /debug/vars windowd_ingest.total $vars_total"; exit 1; }
 [ "$arr" = "$ingested" ] || { echo "booked $ingested but scheduled $arr"; exit 1; }
 [ "$((tx2 + shed + resident))" = "$ingested" ] \
     || { echo "accounting broken: tx $tx2 + shed $shed + resident $resident != ingested $ingested"; exit 1; }
