@@ -332,6 +332,25 @@ func TestPublishedStepsOnBoundaries(t *testing.T) {
 func BenchmarkPumpSaturated(b *testing.B) {
 	o := figure7Options(1)
 	o.synthetic = true
+	benchPump(b, o)
+}
+
+// BenchmarkPumpOverload is BenchmarkPumpSaturated's loop at windowbench's
+// svc-overload shape: K = 5000, ρ′ = 2, M = 25.  The engine keeps a
+// standing backlog of messages still inside K and sheds the rest
+// (element (4)), so every probe searches that backlog; backlog reports
+// the engine's backlog when the timer stops.
+func BenchmarkPumpOverload(b *testing.B) {
+	o := figure7Options(1)
+	o.k, o.load = 5000, 2
+	o.synthetic = true
+	p := benchPump(b, o)
+	b.ReportMetric(float64(p.st.Backlog()), "backlog")
+}
+
+// benchPump runs b.N iterations of the pump loop on a bare pump built
+// from o and reports decisions/s, steps/decision and iters/decision.
+func benchPump(b *testing.B, o options) *pumpState {
 	srv, p := barePump(b, o)
 	decided := func() int64 {
 		snap := srv.shared.Snapshot()
@@ -355,4 +374,5 @@ func BenchmarkPumpSaturated(b *testing.B) {
 		b.ReportMetric(float64(p.steps-s0)/float64(d), "steps/decision")
 		b.ReportMetric(float64(b.N)/float64(d), "iters/decision")
 	}
+	return p
 }

@@ -10,15 +10,24 @@
 // runs.
 //
 // Queue replaces the sorted slice with an arrival-ordered buffer plus a
-// Fenwick (binary-indexed) tree of liveness flags:
+// Fenwick (binary-indexed) tree of liveness flags, and answers queries
+// from the oldest live item outward, where the controlled policy's
+// windows sit:
 //
 //   - Push appends in arrival order (arrivals are generated monotonically),
-//     amortized O(1);
-//   - CountIn is two binary searches plus two prefix sums, O(log n);
+//     amortized O(log n) for the tree update;
+//   - a window's start is found by galloping from the oldest live item,
+//     O(log d) in the distance d from it;
+//   - CountIn and PopFirstIn answer a window that ends within a few
+//     slots of its start by scanning those slots, and fall back to
+//     Fenwick prefix sums, O(log n), only for a longer window;
 //   - PopFirstIn marks the element dead in the tree instead of moving
 //     memory (lazy deletion), O(log n);
 //   - DiscardBelow advances a head index over the expired prefix,
 //     amortized O(1) per discarded message.
+//
+// The head index always rests on the oldest live slot: PopFirstIn and
+// DiscardBelow both step it past the dead slots that follow.
 //
 // Dead slots are physically reclaimed only during compaction, which runs
 // when the buffer fills and at least half of it is reclaimable; each
@@ -29,6 +38,10 @@ package pendq
 
 import "fmt"
 
+// scanSlots bounds the slots, live or dead, that CountIn and firstIn walk
+// from a window's start before falling back to the Fenwick tree.
+const scanSlots = 16
+
 // Queue is an arrival-time-ordered multiset of items supporting
 // logarithmic window counting and extraction.  Keys must be pushed in
 // non-decreasing order.  The zero value is ready to use.
@@ -38,7 +51,7 @@ type Queue[T any] struct {
 	dead  []bool
 	tree  []int32 // 1-indexed Fenwick tree over liveness; len = cap(keys)+1
 	top   int32   // highest power of two <= cap(keys), for tree descent
-	head  int     // slots below head are dead (reclaimed prefix)
+	head  int     // the oldest live slot, or len(keys) when empty
 	live  int
 }
 
@@ -75,9 +88,26 @@ func (q *Queue[T]) treeKth(k int) int {
 	return pos // treePrefix(pos) < k <= treePrefix(pos+1)
 }
 
-// lowerBound returns the first slot in [head, len) whose key is >= x.
-func (q *Queue[T]) lowerBound(x float64) int {
-	lo, hi := q.head, len(q.keys)
+// lowerBound returns the first slot in [from, len) whose key is >= x,
+// galloping from `from` and then bisecting the bracket it found: O(log d)
+// for an answer d slots away.
+func (q *Queue[T]) lowerBound(from int, x float64) int {
+	n := len(q.keys)
+	if from >= n || !(q.keys[from] < x) {
+		return from
+	}
+	// keys[lo] < x throughout; the answer lies in (lo, hi].
+	lo, step := from, 1
+	hi := lo + step
+	for hi < n && q.keys[hi] < x {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	lo++
+	if hi > n {
+		hi = n
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if q.keys[mid] < x {
@@ -182,12 +212,21 @@ func (q *Queue[T]) CountIn(lo, hi float64) int {
 	if hi <= lo || q.live == 0 {
 		return 0
 	}
-	i := q.lowerBound(lo)
-	j := q.lowerBound(hi)
-	if i == j {
-		return 0
+	i := q.lowerBound(q.head, lo)
+	end := min(i+scanSlots, len(q.keys))
+	n := 0
+	for j := i; j < end; j++ {
+		if !(q.keys[j] < hi) {
+			return n
+		}
+		if !q.dead[j] {
+			n++
+		}
 	}
-	return q.treePrefix(j) - q.treePrefix(i)
+	if end == len(q.keys) {
+		return n
+	}
+	return n + q.treePrefix(q.lowerBound(end, hi)) - q.treePrefix(end)
 }
 
 // firstIn locates the oldest live item with key in [lo, hi), returning
@@ -196,8 +235,20 @@ func (q *Queue[T]) firstIn(lo, hi float64) int {
 	if hi <= lo || q.live == 0 {
 		return -1
 	}
-	i := q.lowerBound(lo)
-	k := q.treePrefix(i)
+	i := q.lowerBound(q.head, lo)
+	end := min(i+scanSlots, len(q.keys))
+	for j := i; j < end; j++ {
+		if q.keys[j] >= hi {
+			return -1
+		}
+		if !q.dead[j] {
+			return j
+		}
+	}
+	if end == len(q.keys) {
+		return -1
+	}
+	k := q.treePrefix(end)
 	if k >= q.live {
 		return -1
 	}
@@ -230,6 +281,9 @@ func (q *Queue[T]) PopFirstIn(lo, hi float64) (key float64, item T, ok bool) {
 	q.dead[idx] = true
 	q.treeAdd(idx, -1)
 	q.live--
+	if idx == q.head {
+		q.skipDead()
+	}
 	return q.keys[idx], q.items[idx], true
 }
 
@@ -240,18 +294,24 @@ func (q *Queue[T]) DiscardBelow(horizon float64, fn func(key float64, item T)) i
 	n := 0
 	for q.head < len(q.keys) && q.keys[q.head] < horizon {
 		h := q.head
-		if !q.dead[h] {
-			q.dead[h] = true
-			q.treeAdd(h, -1)
-			q.live--
-			n++
-			if fn != nil {
-				fn(q.keys[h], q.items[h])
-			}
+		q.dead[h] = true
+		q.treeAdd(h, -1)
+		q.live--
+		n++
+		if fn != nil {
+			fn(q.keys[h], q.items[h])
 		}
-		q.head++
+		q.skipDead()
 	}
 	return n
+}
+
+// skipDead moves head from a slot just killed to the next live slot, or
+// to len(keys) when none is left.  Each slot is passed once between
+// compactions, so the cost is amortized O(1) per removal.
+func (q *Queue[T]) skipDead() {
+	for q.head++; q.head < len(q.keys) && q.dead[q.head]; q.head++ {
+	}
 }
 
 // ForEach calls fn on every live item in arrival order.

@@ -279,3 +279,229 @@ func TestQueueNaNRejected(t *testing.T) {
 	q.Push(1, 0)
 	q.Push(math.NaN(), 1)
 }
+
+// fill pushes keys 0, 1, …, n−1, each carrying its own key as the item.
+func fill(q *Queue[int], n int) {
+	for i := 0; i < n; i++ {
+		q.Push(float64(i), i)
+	}
+}
+
+// TestQueueScanBoundWindows probes windows of exactly scanSlots slots and
+// of one slot more.  The first is answered by the scan alone, which runs
+// out of slots just as the window ends; the second needs the Fenwick
+// fallback for its last slot.  A fallback that dropped that slot reads
+// scanSlots for the longer window; one that recounted the scanned slots
+// reads 2·scanSlots+1.
+func TestQueueScanBoundWindows(t *testing.T) {
+	var q Queue[int]
+	fill(&q, 4*scanSlots)
+	for _, tc := range []struct {
+		name string
+		hi   float64
+		want int
+	}{
+		{"exactly the bound", scanSlots, scanSlots},
+		{"one slot past the bound", scanSlots + 1, scanSlots + 1},
+	} {
+		if got := q.CountIn(0, tc.hi); got != tc.want {
+			t.Errorf("%s: CountIn(0, %v) = %d, want %d", tc.name, tc.hi, got, tc.want)
+		}
+	}
+	// With the first scanSlots items gone (but not from the head), the
+	// only live item of [1, scanSlots+2) sits one slot past the bound.
+	for k := 1; k <= scanSlots; k++ {
+		if _, v, ok := q.PopFirstIn(float64(k), float64(k+1)); !ok || v != k {
+			t.Fatalf("setup: pop of key %d = (%d, %v)", k, v, ok)
+		}
+	}
+	if _, v, ok := q.FirstIn(1, scanSlots+2); !ok || v != scanSlots+1 {
+		t.Errorf("FirstIn(1, %d) = (%d, %v), want (%d, true): the scan gave up at its bound", scanSlots+2, v, ok, scanSlots+1)
+	}
+	if _, _, ok := q.FirstIn(1, scanSlots+1); ok {
+		t.Errorf("FirstIn(1, %d) found an item in a window of dead slots", scanSlots+1)
+	}
+}
+
+// TestQueueDeadRunInsideWindow puts a run of 3·scanSlots dead slots
+// between the window's start and its live items.  A scan that stopped at
+// its bound without falling back would report 0 items and no first item.
+func TestQueueDeadRunInsideWindow(t *testing.T) {
+	var q Queue[int]
+	n := 5 * scanSlots
+	fill(&q, n)
+	run := 3 * scanSlots
+	for k := 1; k <= run; k++ {
+		q.PopFirstIn(float64(k), float64(k+1))
+	}
+	hi := float64(run + 5)
+	if got := q.CountIn(0.5, hi); got != 4 {
+		t.Errorf("CountIn(0.5, %v) = %d, want 4 (keys %d..%d past the dead run)", hi, got, run+1, run+4)
+	}
+	if _, v, ok := q.FirstIn(0.5, hi); !ok || v != run+1 {
+		t.Errorf("FirstIn(0.5, %v) = (%d, %v), want (%d, true)", hi, v, ok, run+1)
+	}
+	if got := q.CountIn(0, hi); got != 5 {
+		t.Errorf("CountIn(0, %v) = %d, want 5 (key 0 and the four past the run)", hi, got)
+	}
+}
+
+// TestQueueWindowBelowHead starts windows below the oldest live item,
+// where the search must answer with the head itself.
+func TestQueueWindowBelowHead(t *testing.T) {
+	var q Queue[int]
+	fill(&q, 10)
+	q.DiscardBelow(5, nil)
+	if got := q.CountIn(-10, 7); got != 2 {
+		t.Errorf("CountIn(-10, 7) = %d, want 2 (keys 5 and 6)", got)
+	}
+	if _, v, ok := q.FirstIn(2, 7); !ok || v != 5 {
+		t.Errorf("FirstIn(2, 7) = (%d, %v), want (5, true)", v, ok)
+	}
+	if _, v, ok := q.PopFirstIn(0, 5); ok {
+		t.Errorf("PopFirstIn(0, 5) popped discarded key %d", v)
+	}
+	if got := q.CountIn(math.Inf(-1), math.Inf(1)); got != 5 {
+		t.Errorf("CountIn(-Inf, +Inf) = %d, want 5", got)
+	}
+}
+
+// TestQueueEmptiedThenRefilled empties the queue through both removal
+// paths and refills it: the buffer keeps its slots, head waits at its
+// end, and the refilled items are found.
+func TestQueueEmptiedThenRefilled(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		empty func(q *Queue[int])
+	}{
+		{"PopFirstIn", func(q *Queue[int]) {
+			for q.Len() > 0 {
+				q.PopFirstIn(math.Inf(-1), math.Inf(1))
+			}
+		}},
+		{"DiscardBelow", func(q *Queue[int]) { q.DiscardBelow(100, nil) }},
+	} {
+		var q Queue[int]
+		fill(&q, 10)
+		tc.empty(&q)
+		if q.Len() != 0 || q.head != len(q.keys) {
+			t.Fatalf("%s: emptied queue has len %d, head %d of %d slots; want 0 and head at the end", tc.name, q.Len(), q.head, len(q.keys))
+		}
+		if got := q.CountIn(math.Inf(-1), math.Inf(1)); got != 0 {
+			t.Errorf("%s: CountIn on the emptied queue = %d, want 0", tc.name, got)
+		}
+		q.Push(20, 20)
+		q.Push(21, 21)
+		if got := q.CountIn(0, 100); got != 2 {
+			t.Errorf("%s: CountIn(0, 100) after refill = %d, want 2", tc.name, got)
+		}
+		if _, v, ok := q.PopFirstIn(0, 100); !ok || v != 20 {
+			t.Errorf("%s: PopFirstIn(0, 100) after refill = (%d, %v), want (20, true)", tc.name, v, ok)
+		}
+		if _, v, ok := q.FirstIn(0, 100); !ok || v != 21 {
+			t.Errorf("%s: FirstIn(0, 100) after the pop = (%d, %v), want (21, true)", tc.name, v, ok)
+		}
+	}
+}
+
+// TestQueueHeadOnOldestLive checks that both removal paths leave head on
+// the oldest live slot, stepping over the dead slots that follow.
+func TestQueueHeadOnOldestLive(t *testing.T) {
+	var q Queue[int]
+	fill(&q, 10)
+	q.PopFirstIn(1, 3) // key 1
+	q.PopFirstIn(1, 3) // key 2
+	q.PopFirstIn(0, 1) // key 0, at head
+	if q.head == 0 {
+		t.Errorf("after popping the head: head = 0 (still on the popped slot), want 3")
+	} else if q.head != 3 {
+		t.Errorf("after popping the head: head = %d, want 3", q.head)
+	}
+	q.PopFirstIn(5, 6) // key 5, inside
+	if q.head != 3 {
+		t.Errorf("after popping an inner item: head = %d, want 3", q.head)
+	}
+	q.DiscardBelow(5, nil) // keys 3 and 4, then over dead key 5
+	if q.head != 6 {
+		t.Errorf("after DiscardBelow(5): head = %d (5 is the dead slot of key 5), want 6", q.head)
+	}
+	if _, v, ok := q.FirstIn(math.Inf(-1), math.Inf(1)); !ok || v != 6 {
+		t.Errorf("oldest item = (%d, %v), want (6, true)", v, ok)
+	}
+}
+
+// TestQueueSearchMatchesBisection compares the galloping lowerBound with
+// sort.Search from every start slot, over keys with runs of duplicates.
+func TestQueueSearchMatchesBisection(t *testing.T) {
+	var q Queue[int]
+	keys := []float64{0, 1, 1, 1, 2, 3, 5, 5, 8, 13, 13, 13, 13, 21, 34, 55, 89, 89, 144}
+	for i, k := range keys {
+		q.Push(k, i)
+	}
+	probes := []float64{math.Inf(-1), -1, 0, 0.5, 1, 1.5, 5, 6, 13, 20, 89, 100, 144, 145, math.Inf(1)}
+	for from := 0; from <= len(keys); from++ {
+		for _, x := range probes {
+			want := from + sort.SearchFloat64s(keys[from:], x)
+			if got := q.lowerBound(from, x); got != want {
+				t.Errorf("lowerBound(%d, %v) = %d, want %d", from, x, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkQueue probes a standing backlog of 400 live items with
+// two-slot windows at either end.  One op is one push, one CountIn and
+// one PopFirstIn of the item the window finds.
+//
+//   - oldest: the window sits on the oldest live items, as under the
+//     controlled policy; the popped item is the head, and the backlog
+//     occupies 400 consecutive slots.
+//   - newest: the window sits on the newest items, as under LCFS; two
+//     items are pushed per op, the newer survives, and DiscardBelow
+//     holds the backlog at 400 live items spread over 800 slots, so a
+//     search from the oldest live item travels the whole buffer.
+func BenchmarkQueue(b *testing.B) {
+	const backlog = 400
+	b.Run("oldest", func(b *testing.B) {
+		var q Queue[int]
+		for i := 0; i < backlog; i++ {
+			q.Push(float64(i), i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := backlog; i < backlog+b.N; i++ {
+			q.Push(float64(i), i)
+			lo := float64(i - backlog)
+			if q.CountIn(lo, lo+2) != 2 {
+				b.Fatalf("op %d: oldest window lost its items", i)
+			}
+			q.PopFirstIn(lo, lo+2)
+		}
+		b.StopTimer()
+		if q.Len() != backlog {
+			b.Fatalf("ending backlog %d, want %d", q.Len(), backlog)
+		}
+	})
+	b.Run("newest", func(b *testing.B) {
+		var q Queue[int]
+		for i := 0; i < 2*backlog; i += 2 {
+			q.Push(float64(i+1), i+1)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 2 * backlog; i < 2*backlog+2*b.N; i += 2 {
+			q.Push(float64(i), i)
+			q.Push(float64(i+1), i+1)
+			lo := float64(i)
+			if q.CountIn(lo, lo+2) != 2 {
+				b.Fatalf("op %d: newest window lost its items", i)
+			}
+			q.PopFirstIn(lo, lo+2)
+			q.DiscardBelow(float64(i+2-2*backlog), nil)
+		}
+		b.StopTimer()
+		if q.Len() != backlog {
+			b.Fatalf("ending backlog %d, want %d", q.Len(), backlog)
+		}
+	})
+}
