@@ -55,13 +55,14 @@ type Config struct {
 	// from this law instead of the constant M·τ (Theorem 1 only asks
 	// that lengths be identically distributed).  Its mean should equal
 	// M·τ so RhoPrime keeps its meaning.  Supported by the global
-	// simulator only: RunMultiStation and RunHeterogeneous reject it.
+	// simulator only: the multi-station engine (RunMultiStation,
+	// RunHeterogeneous) rejects it.
 	TxLengths dist.Distribution
 	// RateEstimator, when non-nil, replaces the known arrival rate in
 	// the policy's view with this protocol-side estimate, updated from
 	// each completed windowing process — adaptive operation for networks
-	// where λ′ is unknown.  Supported by the global simulator only:
-	// RunMultiStation and RunHeterogeneous reject it.
+	// where λ′ is unknown.  Supported by the global simulator only: the
+	// multi-station engine (RunMultiStation, RunHeterogeneous) rejects it.
 	RateEstimator *window.RateEstimator
 	// Collector, when non-nil, receives every slot-level protocol event
 	// of the run (arrivals, probe outcomes, splits, discards,
@@ -83,8 +84,8 @@ type Config struct {
 	// messages appear unless they are pushed in from outside (see Stepper).
 	// Lambda is still required — it remains the rate the policy's view is
 	// built from when no RateEstimator is installed.  Supported by the
-	// global simulator only: RunMultiStation and RunHeterogeneous reject
-	// it.
+	// global simulator only: the multi-station engine (RunMultiStation,
+	// RunHeterogeneous) rejects it.
 	ExternalArrivals bool
 }
 

@@ -2,11 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
-	"windowctl/internal/channel"
-	"windowctl/internal/rngutil"
-	"windowctl/internal/station"
 	"windowctl/internal/stats"
 	"windowctl/internal/window"
 )
@@ -119,9 +115,13 @@ type HeterogeneousReport struct {
 // a probe containing its message (the message region is then marked clear
 // by everyone and the message strands until the end of the run) or answer
 // a probe it should not (extra collisions).  Stranded messages are
-// counted lost when their age exceeds K.  Fault injection and a
-// Collector are not modelled, nor are the global simulator's TxLengths,
-// RateEstimator and ExternalArrivals; setting any of them is an error.
+// counted lost when their age exceeds K.  The run is a multi-station run
+// on the per-station engine, so Faults and a Collector are honoured as
+// there; the global simulator's TxLengths, RateEstimator and
+// ExternalArrivals are not modelled, and setting any of them is an error.
+// With every transform nil the report equals RunMultiStation's.  Large
+// runs call different stations' Transforms concurrently, so a Transform
+// must be safe for that (the ones this package builds are pure).
 func RunHeterogeneous(cfg HeterogeneousConfig) (HeterogeneousReport, error) {
 	if err := cfg.validate(); err != nil {
 		return HeterogeneousReport{}, err
@@ -129,189 +129,9 @@ func RunHeterogeneous(cfg HeterogeneousConfig) (HeterogeneousReport, error) {
 	if err := cfg.rejectGlobalOnly(); err != nil {
 		return HeterogeneousReport{}, err
 	}
-	if cfg.Faults.Enabled() || cfg.Collector != nil {
-		return HeterogeneousReport{}, fmt.Errorf("sim: RunHeterogeneous supports neither Faults nor a Collector")
-	}
 	n := len(cfg.Transforms)
 	if n < 1 {
 		return HeterogeneousReport{}, fmt.Errorf("sim: need at least one transform/station")
 	}
-	h := &heteroState{cfg: cfg, ch: channel.New(cfg.Tau, cfg.M*cfg.Tau)}
-	h.rep.Report.WaitHist = stats.NewHistogram(cfg.Tau, int(cfg.K/cfg.Tau)+64)
-	h.rep.Stations = make([]StationReport, n)
-	root := rngutil.New(cfg.Seed)
-	var nextID int64
-	perStation := cfg.Lambda / float64(n)
-	for i := 0; i < n; i++ {
-		h.stations = append(h.stations, station.New(i, station.Poisson{Rate: perStation}, root.Spawn(), &nextID))
-		tr := cfg.Transforms[i]
-		if tr == nil {
-			tr = IdentityTransform()
-		}
-		h.transforms = append(h.transforms, tr)
-	}
-	h.tracker = window.NewTracker(0, discardConstraint(cfg.Policy, cfg.K), cfg.Policy.Discards())
-	h.maxBacklog = cfg.MaxBacklog
-	if h.maxBacklog <= 0 {
-		h.maxBacklog = 1 << 20
-	}
-	h.discardFn = func(d station.Message) {
-		if h.measured(d.Arrival) {
-			h.rep.LostSender++
-			h.rep.Stations[d.Origin].LostSender++
-		}
-	}
-
-	for now := 0.0; h.runErr == nil && now < cfg.EndTime; {
-		next := h.slot(now)
-		if h.runErr == nil {
-			h.runErr = clockStep(now, next)
-		}
-		now = next
-	}
-	if h.runErr != nil {
-		return h.rep, h.runErr
-	}
-	h.finish()
-	return h.rep, nil
-}
-
-type heteroState struct {
-	cfg        HeterogeneousConfig
-	ch         *channel.Channel
-	stations   []*station.Station
-	transforms []Transform
-	tracker    *window.Tracker
-	resolver   window.Resolver // recycled via Reset each decision epoch
-	inProcess  bool
-	maxBacklog int
-	rep        HeterogeneousReport
-	lastTxEnd  float64
-	runErr     error
-	discardFn  func(station.Message)
-}
-
-func (h *heteroState) measured(arrival float64) bool {
-	return arrival >= h.cfg.Warmup && arrival < h.cfg.EndTime
-}
-
-// slot executes the protocol slot at now and returns the time of the
-// next slot.  On failure it sets runErr and the returned time is
-// meaningless.
-func (h *heteroState) slot(now float64) float64 {
-	backlog := 0
-	for _, s := range h.stations {
-		s.GenerateUntil(now)
-		backlog += s.QueueLen()
-	}
-	// A perturbed membership test can strand messages forever (see the
-	// RunHeterogeneous doc), so without element-(4) discards the backlog
-	// of a hopelessly misconfigured run grows without bound; the cap
-	// aborts such runs just as the other engines do.
-	if backlog > h.maxBacklog {
-		h.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", h.maxBacklog, now)
-		return now
-	}
-
-	if !h.inProcess {
-		if h.cfg.Policy.Discards() {
-			horizon := h.tracker.Horizon(now)
-			for _, s := range h.stations {
-				s.DiscardArrivedBeforeFunc(horizon, h.discardFn)
-			}
-		}
-		view := h.tracker.View(now, h.cfg.Tau, h.cfg.Lambda)
-		// Inconsistent stations can produce phantom collisions; bound the
-		// splitting so resolution gives up instead of looping (see
-		// window.View.MinSplitLen).
-		view.MinSplitLen = h.cfg.Tau / 1024
-		if view.TNewest-view.TPast <= 0 {
-			return now + h.cfg.Tau
-		}
-		if err := h.resolver.Reset(h.cfg.Policy, view); err != nil {
-			h.runErr = err
-			return now
-		}
-		h.inProcess = true
-	}
-
-	enabled := h.resolver.Enabled()
-	totalTx := 0
-	txStation := -1
-	for i, s := range h.stations {
-		member := h.transforms[i](enabled)
-		if member.Empty() {
-			continue
-		}
-		if c := s.CountIn(member); c > 0 {
-			totalTx += c
-			txStation = i
-		}
-	}
-	fb, dur := h.ch.ResolveSlot(totalTx)
-	h.resolver.OnFeedback(fb)
-
-	if fb == window.Success {
-		member := h.transforms[txStation](enabled)
-		msg, ok := h.stations[txStation].PopOldestIn(member)
-		if !ok {
-			h.runErr = fmt.Errorf("sim: heterogeneous success without a message")
-			return now
-		}
-		h.rep.Transmissions++
-		trueWait := now - msg.Arrival
-		if h.measured(msg.Arrival) {
-			h.rep.TrueWait.Add(trueWait)
-			h.rep.Stations[txStation].TrueWait.Add(trueWait)
-			h.rep.WaitHist.Add(trueWait)
-			schedStart := math.Max(h.lastTxEnd, msg.Arrival)
-			h.rep.SchedulingSlots.Add((now - schedStart) / h.cfg.Tau)
-			if trueWait > h.cfg.K {
-				h.rep.LostLate++
-				h.rep.Stations[txStation].LostLate++
-			} else {
-				h.rep.AcceptedInTime++
-				h.rep.Stations[txStation].AcceptedInTime++
-			}
-		}
-		h.lastTxEnd = now + dur
-	}
-
-	if h.resolver.Done() {
-		h.tracker.Commit(now+dur, h.resolver.Examined())
-		h.inProcess = false
-	}
-	return now + dur
-}
-
-func (h *heteroState) finish() {
-	end := h.cfg.EndTime
-	all := window.Window{Start: 0, End: end + 1}
-	for i, s := range h.stations {
-		for {
-			msg, ok := s.PopOldestIn(all)
-			if !ok {
-				break
-			}
-			if !h.measured(msg.Arrival) {
-				continue
-			}
-			if end-msg.Arrival > h.cfg.K {
-				h.rep.LostPending++
-				h.rep.Stations[i].LostPending++
-			} else {
-				h.rep.Censored++
-			}
-			h.rep.EndBacklog++
-		}
-	}
-	st := h.ch.Stats()
-	h.rep.IdleSlots = st.IdleSlots
-	h.rep.CollisionSlots = st.CollisionSlots
-	h.rep.Utilization = st.Utilization()
-	h.rep.Offered = h.rep.Decided() + h.rep.Censored
-	for i := range h.rep.Stations {
-		sr := &h.rep.Stations[i]
-		sr.Offered = sr.AcceptedInTime + sr.LostSender + sr.LostLate + sr.LostPending
-	}
+	return runMultiDense(MultiConfig{Config: cfg.Config, Stations: n}, cfg.Transforms)
 }

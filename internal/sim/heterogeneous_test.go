@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"windowctl/internal/window"
@@ -17,33 +18,55 @@ func heteroBase(seed uint64) HeterogeneousConfig {
 	}
 }
 
+// TestHeterogeneousIdentityMatchesMultiStation pins RunHeterogeneous with
+// all-nil transforms to RunMultiStation, on both of its engines, report
+// field for report field.  A heterogeneous engine that keeps books of its
+// own fails here on the first field it keeps differently, for example
+// "MaxBacklog: hetero 0, multistation 4" for an engine that never records
+// the backlog peak.
 func TestHeterogeneousIdentityMatchesMultiStation(t *testing.T) {
-	cfg := heteroBase(61)
-	cfg.Transforms = make([]Transform, 8) // nil entries = identity
-	hrep, err := RunHeterogeneous(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for seed := uint64(61); seed <= 65; seed++ {
+		cfg := heteroBase(seed)
+		// Equality needs no long horizon; more seeds cover more paths.
+		cfg.EndTime, cfg.Warmup = 5e4, 5e3
+		cfg.Transforms = make([]Transform, 8) // nil entries = identity
+		hrep, err := RunHeterogeneous(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dense := range []bool{false, true} {
+			mrep, err := RunMultiStation(MultiConfig{Config: cfg.Config, Stations: 8, forceDense: dense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hrep.Report, mrep) {
+				t.Errorf("seed %d, forceDense=%v: %s", seed, dense, firstReportDiff(hrep.Report, mrep))
+			}
+		}
+		// Per-station reports partition the totals.
+		var acc, lost int64
+		for _, sr := range hrep.Stations {
+			acc += sr.AcceptedInTime
+			lost += sr.LostSender + sr.LostLate + sr.LostPending
+		}
+		if acc != hrep.AcceptedInTime || lost != hrep.Lost() {
+			t.Errorf("seed %d: per-station accepted/lost sum to %d/%d, want the totals %d/%d",
+				seed, acc, lost, hrep.AcceptedInTime, hrep.Lost())
+		}
 	}
-	mrep, err := RunMultiStation(MultiConfig{Config: cfg.Config, Stations: 8})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// firstReportDiff names the first Report field on which hetero and multi
+// differ, with both values.
+func firstReportDiff(hetero, multi Report) string {
+	hv, mv := reflect.ValueOf(hetero), reflect.ValueOf(multi)
+	for i := 0; i < hv.NumField(); i++ {
+		h, m := hv.Field(i).Interface(), mv.Field(i).Interface()
+		if !reflect.DeepEqual(h, m) {
+			return fmt.Sprintf("%s: hetero %v, multistation %v", hv.Type().Field(i).Name, h, m)
+		}
 	}
-	if math.Abs(hrep.Loss()-mrep.Loss()) > 0.02 {
-		t.Fatalf("identity-transform loss %v vs multistation %v", hrep.Loss(), mrep.Loss())
-	}
-	if hrep.Offered != hrep.Decided()+hrep.Censored {
-		t.Fatal("accounting identity broken")
-	}
-	// Per-station reports partition the totals.
-	var acc, lost int64
-	for _, sr := range hrep.Stations {
-		acc += sr.AcceptedInTime
-		lost += sr.LostSender + sr.LostLate + sr.LostPending
-	}
-	if acc != hrep.AcceptedInTime || lost != hrep.Lost() {
-		t.Fatalf("per-station partition broken: %d/%d vs %d/%d",
-			acc, lost, hrep.AcceptedInTime, hrep.Lost())
-	}
+	return "reports differ in no field"
 }
 
 func TestPriorityStretchFavorsHighPriority(t *testing.T) {

@@ -157,7 +157,8 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 	// shared fast path rests on; only that case needs the O(M)-per-slot
 	// reference engine.
 	if cfg.forceDense || (cfg.Faults.Enabled() && cfg.Faults.PerStation) {
-		return runMultiDense(cfg)
+		rep, err := runMultiDense(cfg, nil)
+		return rep.Report, err
 	}
 	m, err := newMultiState(cfg)
 	if err != nil {

@@ -15,12 +15,14 @@ import (
 
 // denseState is the one-object-per-station engine: every station runs its
 // own Tracker and Resolver fed only by channel feedback, exactly as the
-// protocol prescribes.  Its per-slot cost is O(M), so it serves the one
-// case the shared-state fast path (multiState) cannot represent —
-// per-station feedback faults, where stations genuinely perceive
-// different channels and their state machines diverge — and acts as the
+// protocol prescribes.  Its per-slot cost is O(M), so it serves the cases
+// the shared-state fast path (multiState) cannot represent — per-station
+// feedback faults, where stations genuinely perceive different channels
+// and their state machines diverge, and RunHeterogeneous's per-station
+// membership Transforms, where a station answers a probe for its own view
+// of the enabled window (nil means the common window) — and acts as the
 // reference implementation the fast path is verified against
-// bit-for-bit.
+// bit-for-bit.  The report is also partitioned per station.
 //
 // A station holding two or more pending messages inside the enabled
 // window jams the slot (it cannot transmit both), so channel feedback
@@ -45,11 +47,14 @@ type denseState struct {
 	fo        metrics.FaultObserver
 	slotIdx   int64 // probe-slot counter indexing the fault schedule
 	perceived []window.Feedback
-	rep       Report
-	lastTxEnd float64
-	resident  int64 // messages still queued anywhere when the run ended
-	runErr    error
-	discardFn func(station.Message)
+	// transforms holds each station's membership Transform; nil unless
+	// some station's is set (see member).
+	transforms []Transform
+	rep        HeterogeneousReport
+	lastTxEnd  float64
+	resident   int64 // messages still queued anywhere when the run ended
+	runErr     error
+	discardFn  func(station.Message)
 
 	pool       *pool
 	lockEvery  int64
@@ -67,17 +72,18 @@ type denseState struct {
 	curNow      float64
 	curEnd      float64
 	curExamined []window.Window
-	countFn     func(w, lo, hi int) // CountIn over the common enabled window
-	countOwnFn  func(w, lo, hi int) // CountIn over each resolver's own window
+	countFn     func(w, lo, hi int) // CountIn over each station's view of the common enabled window
+	countOwnFn  func(w, lo, hi int) // CountIn over each station's view of its resolver's window
 	feedFn      func(w, lo, hi int) // OnFeedback(curFb) fan-out
 	feedOwnFn   func(w, lo, hi int) // OnFeedback(perceived[i]) fan-out
 	resetFn     func(w, lo, hi int) // resolver Reset at curNow
 	commitFn    func(w, lo, hi int) // tracker Commit(curEnd, curExamined)
 }
 
-// runMultiDense simulates with full per-station state.  cfg is already
+// runMultiDense simulates with full per-station state; transforms, when
+// non-nil, holds one membership Transform per station.  cfg is already
 // validated.
-func runMultiDense(cfg MultiConfig) (Report, error) {
+func runMultiDense(cfg MultiConfig, transforms []Transform) (HeterogeneousReport, error) {
 	m := &denseState{
 		cfg:  cfg,
 		ch:   channel.New(cfg.Tau, cfg.M*cfg.Tau),
@@ -89,7 +95,7 @@ func runMultiDense(cfg MultiConfig) (Report, error) {
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
 		if err != nil {
-			return Report{}, err
+			return HeterogeneousReport{}, err
 		}
 		m.inj = inj
 		m.perceived = make([]window.Feedback, cfg.Stations)
@@ -99,6 +105,13 @@ func runMultiDense(cfg MultiConfig) (Report, error) {
 	// simulator reports directly.
 	m.ch.Observe(cfg.Collector)
 	m.rep.WaitHist = stats.NewHistogram(cfg.Tau, int(cfg.K/cfg.Tau)+64)
+	m.rep.Stations = make([]StationReport, cfg.Stations)
+	for _, tr := range transforms {
+		if tr != nil {
+			m.transforms = transforms
+			break
+		}
+	}
 	root := rngutil.New(cfg.Seed)
 	var nextID int64
 	perStation := cfg.Lambda / float64(cfg.Stations)
@@ -107,7 +120,7 @@ func runMultiDense(cfg MultiConfig) (Report, error) {
 		if cfg.Arrivals != nil {
 			proc = cfg.Arrivals(i)
 			if proc == nil {
-				return Report{}, fmt.Errorf("sim: Arrivals returned nil for station %d", i)
+				return HeterogeneousReport{}, fmt.Errorf("sim: Arrivals returned nil for station %d", i)
 			}
 		}
 		st := station.New(i, proc, root.Spawn(), &nextID)
@@ -136,6 +149,7 @@ func runMultiDense(cfg MultiConfig) (Report, error) {
 	m.discardFn = func(d station.Message) {
 		if m.measured(d.Arrival) {
 			m.rep.LostSender++
+			m.rep.Stations[d.Origin].LostSender++
 		}
 	}
 	m.lockEvery, m.lockIdx = lockstepPlan(cfg)
@@ -171,7 +185,7 @@ func (m *denseState) bindShardFns() {
 	m.countFn = func(w, lo, hi int) {
 		total, tx := 0, -1
 		for i := lo; i < hi; i++ {
-			if c := m.stations[i].CountIn(m.curEnabled); c > 0 {
+			if c := m.stations[i].CountIn(m.member(i, m.curEnabled)); c > 0 {
 				total += c
 				tx = i
 			}
@@ -181,7 +195,7 @@ func (m *denseState) bindShardFns() {
 	m.countOwnFn = func(w, lo, hi int) {
 		total, tx := 0, -1
 		for i := lo; i < hi; i++ {
-			if c := m.stations[i].CountIn(m.resolvers[i].Enabled()); c > 0 {
+			if c := m.stations[i].CountIn(m.member(i, m.resolvers[i].Enabled())); c > 0 {
 				total += c
 				tx = i
 			}
@@ -201,9 +215,11 @@ func (m *denseState) bindShardFns() {
 	m.resetFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := m.trackers[i].View(m.curNow, m.cfg.Tau, m.cfg.Lambda)
-			if m.inj != nil {
-				// Phantom-split give-up bound: false collisions otherwise
-				// spiral to the depth bound (see globalState.resolveFaulty).
+			if m.inj != nil || m.transforms != nil {
+				// Phantom-split give-up bound: false collisions, or
+				// stations answering probes by a perturbed window,
+				// otherwise spiral to the depth bound (see
+				// globalState.resolveFaulty).
 				v.MinSplitLen = m.cfg.Tau / 1024
 			}
 			if err := m.resolvers[i].Reset(m.policies[i], v); err != nil {
@@ -217,6 +233,15 @@ func (m *denseState) bindShardFns() {
 			m.trackers[i].Commit(m.curEnd, m.curExamined)
 		}
 	}
+}
+
+// member returns the window station i answers when the common protocol
+// enables w: w itself unless the station has a membership Transform.
+func (m *denseState) member(i int, w window.Window) window.Window {
+	if m.transforms == nil || m.transforms[i] == nil {
+		return w
+	}
+	return m.transforms[i](w)
 }
 
 // countAll merges the pooled membership count: the network-wide message
@@ -326,12 +351,13 @@ func (m *denseState) slot(now float64) float64 {
 	}
 
 	if fb == window.Success {
-		msg, ok := m.stations[txStation].PopOldestIn(m.curEnabled)
+		w := m.member(txStation, m.curEnabled)
+		msg, ok := m.stations[txStation].PopOldestIn(w)
 		if !ok {
-			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, m.curEnabled)
+			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, w)
 			return now
 		}
-		m.recordTransmission(msg, now, now+dur)
+		m.recordTransmission(msg, txStation, now, now+dur)
 	}
 
 	if m.resolvers[0].Done() {
@@ -391,12 +417,13 @@ func (m *denseState) faultySlot(now float64) float64 {
 	delivered := truth == window.Success && m.perceived[txStation] == window.Success
 	dur := m.ch.AccountSlot(truth, delivered)
 	if delivered {
-		msg, ok := m.stations[txStation].PopOldestIn(m.resolvers[txStation].Enabled())
+		w := m.member(txStation, m.resolvers[txStation].Enabled())
+		msg, ok := m.stations[txStation].PopOldestIn(w)
 		if !ok {
-			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, m.resolvers[txStation].Enabled())
+			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, w)
 			return now
 		}
-		m.recordTransmission(msg, now, now+dur)
+		m.recordTransmission(msg, txStation, now, now+dur)
 	}
 
 	m.pool.run(len(m.resolvers), m.feedOwnFn)
@@ -494,19 +521,23 @@ func (m *denseState) measured(arrival float64) bool {
 	return arrival >= m.cfg.Warmup && arrival < m.cfg.EndTime
 }
 
-func (m *denseState) recordTransmission(msg station.Message, successStart, txEnd float64) {
+func (m *denseState) recordTransmission(msg station.Message, sender int, successStart, txEnd float64) {
 	m.rep.Transmissions++
 	trueWait := successStart - msg.Arrival
 	m.col.RecordTransmission(trueWait, trueWait <= m.cfg.K)
 	if m.measured(msg.Arrival) {
+		sr := &m.rep.Stations[sender]
 		m.rep.TrueWait.Add(trueWait)
+		sr.TrueWait.Add(trueWait)
 		m.rep.WaitHist.Add(trueWait)
 		schedStart := math.Max(m.lastTxEnd, msg.Arrival)
 		m.rep.SchedulingSlots.Add((successStart - schedStart) / m.cfg.Tau)
 		if trueWait > m.cfg.K {
 			m.rep.LostLate++
+			sr.LostLate++
 		} else {
 			m.rep.AcceptedInTime++
+			sr.AcceptedInTime++
 		}
 	}
 	m.lastTxEnd = txEnd
@@ -515,7 +546,7 @@ func (m *denseState) recordTransmission(msg station.Message, successStart, txEnd
 func (m *denseState) finish() {
 	end := m.cfg.EndTime
 	all := window.Window{Start: 0, End: end + 1}
-	for _, s := range m.stations {
+	for i, s := range m.stations {
 		for {
 			msg, ok := s.PopOldestIn(all)
 			if !ok {
@@ -527,6 +558,7 @@ func (m *denseState) finish() {
 			}
 			if end-msg.Arrival > m.cfg.K {
 				m.rep.LostPending++
+				m.rep.Stations[i].LostPending++
 			} else {
 				m.rep.Censored++
 			}
@@ -543,4 +575,8 @@ func (m *denseState) finish() {
 	// Offered = Decided + Censored on the global simulator, whose offered
 	// count is taken at arrival time instead).
 	m.rep.Offered = m.rep.Decided() + m.rep.Censored
+	for i := range m.rep.Stations {
+		sr := &m.rep.Stations[i]
+		sr.Offered = sr.AcceptedInTime + sr.LostSender + sr.LostLate + sr.LostPending
+	}
 }

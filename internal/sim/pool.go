@@ -42,18 +42,29 @@ func newPool(workers int) *pool {
 	return p
 }
 
-// run invokes fn over [0, n) split into at most workers contiguous
-// shards and returns when all have completed.  Worker w always receives
-// the w-th shard, so worker-indexed scratch slots line up with shard
-// order.  Tiny ranges run inline.
+// minShardLen is the shortest range worth a worker of its own: run
+// splits [0, n) into at most n/minShardLen shards and runs inline when
+// that is one.  A shard's dispatch costs two channel hops and a wake-up,
+// which the dense engine's per-station work (a membership count and a
+// feedback step) repays only in long shards.  Measured on a 2-vCPU VM,
+// dense runs at 2 workers against inline took 11–15× as long at 4
+// stations, 1.8–2.1× at 64, 1.5–1.7× at 512, 1.2–1.4× at 1024,
+// 0.77–1.03× at 2048, 0.85–0.91× at 4096 and 0.68–0.77× at 16384: the
+// pool breaks even near 1024 stations per worker.
+const minShardLen = 1024
+
+// run invokes fn over [0, n) split into min(workers, n/minShardLen)
+// contiguous shards and returns when all have completed.  Worker w
+// always receives the w-th shard, so worker-indexed scratch slots line
+// up with shard order.  A range too short for two shards runs inline.
 func (p *pool) run(n int, fn func(w, lo, hi int)) {
-	if p.workers == 1 || n < 2*p.workers {
+	used := min(p.workers, n/minShardLen)
+	if used <= 1 {
 		fn(0, 0, n)
 		return
 	}
 	p.fn = fn
-	chunk := (n + p.workers - 1) / p.workers
-	used := (n + chunk - 1) / chunk
+	chunk := (n + used - 1) / used
 	p.wg.Add(used)
 	for w := 0; w < used; w++ {
 		lo := w * chunk

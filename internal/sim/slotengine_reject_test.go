@@ -3,10 +3,13 @@ package sim
 // Regression tests for Config fields the slot engines (RunMultiStation
 // and RunHeterogeneous) do not implement.  Both engines used to run with
 // such a field set and silently ignore it; each failure message names the
-// wrong output that silent run produces.
+// wrong output that silent run produces.  RunHeterogeneous runs on the
+// per-station engine, so it honours Faults and a Collector as
+// RunMultiStation does; its test checks that it does.
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,19 +103,49 @@ func TestHeterogeneousRejectsUnsupportedFields(t *testing.T) {
 			wantRejected(t, err, f.field, f.wrong(rep.Report, plain.Report))
 		})
 	}
+	// With the bug (Faults ignored) the faulted run reproduces the
+	// fault-free report; a SlotMetrics makes the run check conservation.
 	t.Run("Faults", func(t *testing.T) {
+		for _, perStation := range []bool{false, true} {
+			cfg := heteroCfg()
+			cfg.Faults = goldenFaultMix
+			cfg.Faults.PerStation = perStation
+			sm := metrics.NewSlotMetrics(cfg.Tau, 64)
+			cfg.Collector = sm
+			rep, err := RunHeterogeneous(cfg)
+			if err != nil {
+				t.Fatalf("PerStation=%v: faulted run failed: %v", perStation, err)
+			}
+			if sm.Faults() == 0 {
+				t.Errorf("PerStation=%v: SlotMetrics booked 0 faults, want some at rates %+v", perStation, cfg.Faults.Rates)
+			}
+			if reflect.DeepEqual(rep, plain) {
+				t.Errorf("PerStation=%v: faulted run reproduced the fault-free report (loss %.4f, %d collision slots), want it perturbed",
+					perStation, rep.Loss(), rep.CollisionSlots)
+			}
+		}
+		// Perturbed membership under per-station faults: stranded
+		// messages must still be booked as resident at the end.
 		cfg := heteroCfg()
+		cfg.Transforms = []Transform{PriorityStretch(1.5, 0.5), ClockSkew(0.2, 0.05), nil, nil}
 		cfg.Faults = goldenFaultMix
-		rep, err := RunHeterogeneous(cfg)
-		wantRejected(t, err, "Faults", fmt.Sprintf("loss %.4f and %d collision slots, the fault-free run's %.4f and %d",
-			rep.Loss(), rep.CollisionSlots, plain.Loss(), plain.CollisionSlots))
+		cfg.Faults.PerStation = true
+		cfg.Collector = metrics.NewSlotMetrics(cfg.Tau, 64)
+		if _, err := RunHeterogeneous(cfg); err != nil {
+			t.Fatalf("perturbed faulted run failed: %v", err)
+		}
 	})
+	// With the bug (Collector ignored) the SlotMetrics ends empty.
 	t.Run("Collector", func(t *testing.T) {
 		cfg := heteroCfg()
 		sm := metrics.NewSlotMetrics(cfg.Tau, 64)
 		cfg.Collector = sm
 		rep, err := RunHeterogeneous(cfg)
-		wantRejected(t, err, "Collector", fmt.Sprintf("the SlotMetrics ends with %d transmissions, the report %d",
-			sm.Transmissions, rep.Transmissions))
+		if err != nil {
+			t.Fatalf("instrumented run failed: %v", err)
+		}
+		if sm.Transmissions != rep.Transmissions {
+			t.Errorf("SlotMetrics booked %d transmissions, want the report's %d", sm.Transmissions, rep.Transmissions)
+		}
 	})
 }

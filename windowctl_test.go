@@ -126,6 +126,32 @@ func TestHeterogeneousFacade(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousFacadeInstrumented runs the §5 extensions through the
+// facade with a collector and injected faults.  With the bug (a
+// heterogeneous engine without either) the run fails with "supports
+// neither Faults nor a Collector" instead of booking its transmissions.
+func TestHeterogeneousFacadeInstrumented(t *testing.T) {
+	sys := windowctl.System{M: 25, RhoPrime: 0.5, K: 50, Seed: 5}
+	sm := windowctl.NewSlotMetrics(1, 64)
+	rep, err := sys.SimulateHeterogeneous([]windowctl.Transform{
+		windowctl.PriorityStretch(1.3, 1),
+		windowctl.ClockSkew(0.2, 0.1),
+		nil,
+	}, windowctl.SimOptions{
+		EndTime: 1e5, Warmup: 1e4, Collector: sm,
+		Faults: windowctl.FaultConfig{Rates: windowctl.FaultRates{Erasure: 0.01, MissedCollision: 0.01}, Seed: 3},
+	})
+	if err != nil {
+		t.Fatalf("instrumented heterogeneous run failed: %v", err)
+	}
+	if rep.Transmissions == 0 || sm.Transmissions != rep.Transmissions {
+		t.Errorf("SlotMetrics booked %d transmissions, want the report's %d (nonzero)", sm.Transmissions, rep.Transmissions)
+	}
+	if sm.Faults() == 0 {
+		t.Error("SlotMetrics booked 0 faults, want some at 1% erasures and missed collisions")
+	}
+}
+
 func TestOptimalWindowContent(t *testing.T) {
 	g := windowctl.OptimalWindowContent()
 	if g < 0.8 || g > 1.5 {
