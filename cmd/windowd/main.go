@@ -19,13 +19,15 @@
 // fraction comparable to the batch element-(4) discard rate.  The ingest→schedule hot path is
 // allocation-free at steady state.
 //
-// Observability: /debug/vars exposes the shared slot-level collector
+// Observability: /debug/vars exposes the pump's slot-level collector
 // ("windowd") and the pump status ("windowd_engine") as expvar JSON;
 // /metrics renders the same counters in the Prometheus text format
 // (including wait quantiles, which can be +Inf and so cannot live in the
 // JSON surface); /healthz reports liveness, drain state and the
 // conservation invariants, which are re-verified at every published step
-// boundary.  /config GET returns the running configuration and /config
+// boundary.  The pump owns its collector and publishes a copy of it with
+// its status at those boundaries, so every scrape renders one exact
+// publish.  /config GET returns the running configuration and /config
 // POST retunes protocol, constraint, load, window content or seed at
 // runtime by swapping engines — the outgoing engine's conservation
 // invariants are verified during the handoff.
@@ -172,12 +174,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	defer cancel()
 	_ = httpSrv.Shutdown(shCtx)
 
-	fin := s.status.Load().final
+	st := s.status.Load()
+	fin := st.final
 	if fin == nil {
 		return fmt.Errorf("pump exited without a final report")
 	}
 	fmt.Fprintf(stdout, "windowd: drained (ingested %d): %s\n", s.snapshot().Total, fin.rep.String())
-	fmt.Fprintf(stdout, "%s", s.shared.Format())
+	fmt.Fprintf(stdout, "%s", st.col.m.Format())
 	if fin.err != nil {
 		return fin.err
 	}

@@ -211,7 +211,7 @@ func TestServerConfigSwap(t *testing.T) {
 // engine or the expvar surface being touched.
 func barePump(t testing.TB, o options) (*server, *pumpState) {
 	t.Helper()
-	srv := &server{shared: metrics.NewShared(o.tau, 256)}
+	srv := &server{shared: metrics.NewSlotMetrics(o.tau, 256)}
 	st, est, err := o.engine(srv.shared)
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +547,7 @@ func TestIngestRejectsOversizedBody(t *testing.T) {
 // bug only the TCP plane checked the bound, and HTTP answered 202 and
 // booked the second body too (ingested 101).
 func TestHTTPIngestOwedBound(t *testing.T) {
-	srv := &server{shared: metrics.NewShared(1, 256), notify: make(chan struct{}, 1)}
+	srv := &server{shared: metrics.NewSlotMetrics(1, 256), notify: make(chan struct{}, 1)}
 	srv.status.Store(&engineStatus{opts: &options{maxOwed: 10}})
 	h := srv.routes()
 	post := func(body string) *httptest.ResponseRecorder {

@@ -169,6 +169,40 @@ func TestAdvanceMatchesDirectPoisson(t *testing.T) {
 	}
 }
 
+// release's exp(−mean) table must serve, draw for draw, what Poisson
+// computes afresh.  Under overload the epochs alternate between a
+// transmission plus a few slots and single idle slots, so the mean
+// rarely repeats twice in a row; 97 distinct elapsed times over a
+// 64-entry table also force evictions.  A table that returned another
+// mean's exp(−mean) would draw from the wrong law, and the first draw it
+// got wrong is named.
+func TestReleaseMemoMatchesPoisson(t *testing.T) {
+	for _, tau := range []float64{1, 0.37} {
+		o := figure7Options(tau)
+		o.k, o.load = 5000, 2
+		_, p := barePump(t, o)
+		ref := rngutil.New(o.seed ^ 0x6a09e667f3bcc909)
+		pick := rngutil.New(3)
+		for i := 0; i < 50000; i++ {
+			var slots float64
+			switch i % 3 {
+			case 0:
+				slots = 25 + float64(pick.Uint64()%6) // a success plus j slots
+			case 1:
+				slots = 1 // an idle slot
+			default:
+				slots = float64(pick.Uint64() % 97)
+			}
+			elapsed := slots * tau
+			got, want := p.release(elapsed), ref.Poisson(p.lam*elapsed)
+			if got != want {
+				t.Fatalf("tau=%v: draw %d (elapsed %v, mean %v): release drew %d, Poisson(mean) drew %d",
+					tau, i, elapsed, p.lam*elapsed, got, want)
+			}
+		}
+	}
+}
+
 // figure7Options is the benchmark's saturation point: K/M = 2, ρ′ = 0.75,
 // M = 25, where most decision epochs are idle probes of an empty channel.
 func figure7Options(tau float64) options {

@@ -122,9 +122,10 @@ func (o options) engine(col metrics.Collector) (*sim.Stepper, *window.RateEstima
 
 // engineStatus is the pump's published state, refreshed at step
 // boundaries (where the conservation invariants hold exactly) and
-// exported as the "windowd_engine" expvar.  It also carries what the
-// JSON leaves out: the options in effect, which /config GET renders, and
-// once the pump has finished, its final report.
+// rendered as the "windowd_engine" variable of /debug/vars.  It also
+// carries what the JSON leaves out: the options in effect, which
+// /config GET renders, a copy of the pump's collector as of the same
+// boundary, and once the pump has finished, its final report.
 type engineStatus struct {
 	Protocol     string  `json:"protocol"`
 	RhoPrime     float64 `json:"rho_prime"`
@@ -139,9 +140,21 @@ type engineStatus struct {
 	Draining     bool    `json:"draining"`
 	Finished     bool    `json:"finished"`
 
-	opts  *options     // shared by every status until the next swap
-	final *finalResult // nil until Finished
+	opts  *options       // shared by every status until the next swap
+	col   *collectorCopy // read it through server.pinStatus
+	final *finalResult   // nil until Finished
 }
+
+// collectorCopy is one of the pump's two published copies of its
+// collector.  readers counts the scrapes reading it; the pump refills a
+// copy only when no scrape holds it, and otherwise replaces it.
+type collectorCopy struct {
+	m       metrics.SlotMetrics
+	readers atomic.Int32
+}
+
+// unpin releases a status pinned by server.pinStatus.
+func (st *engineStatus) unpin() { st.col.readers.Add(-1) }
 
 type finalResult struct {
 	rep sim.Report
@@ -166,8 +179,8 @@ type ingestBooks struct {
 	owedGauge atomic.Int64 // pump's owed ledger, stored whenever it changes
 }
 
-// ingestSnapshot is the "windowd_ingest" expvar.  Its fields are in key
-// order, the order encoding/json gives a map's keys.
+// ingestSnapshot is the "windowd_ingest" variable of /debug/vars.  Its
+// fields are in key order, the order encoding/json gives a map's keys.
 type ingestSnapshot struct {
 	Conns  int64 `json:"conns"`
 	Frames int64 `json:"frames"`
@@ -187,10 +200,14 @@ func (b *ingestBooks) snapshot() ingestSnapshot {
 // server owns the engine pump and the HTTP surface.  All engine access
 // happens on the single pump goroutine; handlers communicate through the
 // ingest books, the notify channel and the ctrl channel, and read the
-// pump's state from status.
+// pump's state, collector included, from status.
 type server struct {
 	ingestBooks
-	shared *metrics.Shared
+	// shared is the collector every engine the pump runs records into;
+	// it keeps accumulating across /config swaps.  Only the pump
+	// goroutine touches it until done is closed.  Scrapes read the copy
+	// the pump publishes in status instead.
+	shared *metrics.SlotMetrics
 	tcp    *tcpPlane // nil when -listen-tcp is off
 
 	draining atomic.Bool
@@ -219,7 +236,7 @@ func newServer(o options) (*server, error) {
 	}
 	bins := int(b)
 	s := &server{
-		shared:  metrics.NewShared(o.tau, bins+64),
+		shared:  metrics.NewSlotMetrics(o.tau, bins+64),
 		notify:  make(chan struct{}, 1),
 		ctrl:    make(chan ctrlMsg),
 		drainCh: make(chan struct{}),
@@ -229,26 +246,26 @@ func newServer(o options) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.shared.Publish("windowd"); err != nil {
-		return nil, err
-	}
-	if err := metrics.PublishVar("windowd_engine", expvar.Func(func() any {
-		if st := s.status.Load(); st != nil {
-			return *st
-		}
-		return engineStatus{}
-	})); err != nil {
-		return nil, err
-	}
-	if err := metrics.PublishVar("windowd_ingest", expvar.Func(func() any {
-		return s.snapshot()
-	})); err != nil {
-		return nil, err
-	}
 	p := newPumpState(s, st, o, est)
 	p.publish(nil)
 	go p.run()
 	return s, nil
+}
+
+// pinStatus returns the published status with its collector copy pinned
+// against reuse; the caller unpins it once done reading.  The pin is
+// taken on the status still current after the pin, so the pump, which
+// only ever refills a copy that is no longer current, cannot have
+// started refilling it.
+func (s *server) pinStatus() *engineStatus {
+	for {
+		st := s.status.Load()
+		st.col.readers.Add(1)
+		if s.status.Load() == st {
+			return st
+		}
+		st.unpin()
+	}
 }
 
 // beginDrain asks the pump to run the backlog dry and finish; it is
@@ -281,20 +298,28 @@ type pumpState struct {
 	rel       *rngutil.Stream
 	owed      int64
 	steps     uint64
-	// relMean and relExp memoise the last release mean and exp(−relMean):
-	// idle epochs all last one slot, so the mean repeats step after step.
-	relMean, relExp float64
+	// relExp memoises exp(−mean) for the release means the pump meets.
+	relExp expMemo
+	// copies are the two collector copies publish alternates between;
+	// next is the one the next publish fills.
+	copies [2]*collectorCopy
+	next   int
 }
 
 func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimator) *pumpState {
-	return &pumpState{
+	p := &pumpState{
 		s: s, st: st, o: &o, lam: o.lambda(), synthetic: o.synthetic, est: est,
 		// The release stream is separate from the engine's seed so the
 		// engine's own randomness stays aligned with an equally-seeded
 		// batch run.
 		rel:    rngutil.New(o.seed ^ 0x6a09e667f3bcc909),
-		relExp: 1, // exp(−0)
+		relExp: newExpMemo(),
 	}
+	for i := range p.copies {
+		p.copies[i] = new(collectorCopy)
+		s.shared.CopyTo(&p.copies[i].m) // size the histogram once
+	}
+	return p
 }
 
 // run is the pump, the single goroutine owning the engine.  Each
@@ -396,13 +421,39 @@ func (p *pumpState) advance() error {
 }
 
 // release draws the arrivals released over elapsed channel time:
-// Poisson(λ′·elapsed), reusing exp(−mean) while the mean repeats.
+// Poisson(λ′·elapsed), with exp(−mean) from the memo.
 func (p *pumpState) release(elapsed float64) int {
 	mean := p.lam * elapsed
-	if mean != p.relMean {
-		p.relMean, p.relExp = mean, math.Exp(-mean)
+	return p.rel.PoissonExp(mean, p.relExp.of(mean))
+}
+
+// expMemo is a direct-mapped table of exp(−mean) keyed by the exact bits
+// of mean.  The pump's epochs last a handful of distinct times — one slot
+// for an idle probe, a transmission plus j slots for a success — so the
+// means repeat, though rarely twice in a row under overload.  At τ = 1
+// every elapsed time is a whole number and the table hits; at other τ a
+// miss only costs the math.Exp it replaces.  Every entry starts as the
+// exact pair (0, exp(−0) = 1), so no entry is ever wrong.
+type expMemo [64]struct {
+	bits uint64
+	exp  float64
+}
+
+func newExpMemo() (m expMemo) {
+	for i := range m {
+		m[i].exp = 1
 	}
-	return p.rel.PoissonExp(mean, p.relExp)
+	return m
+}
+
+// of returns exp(−mean), bit for bit math.Exp(-mean).
+func (m *expMemo) of(mean float64) float64 {
+	b := math.Float64bits(mean)
+	e := &m[(b*0x9e3779b97f4a7c15)>>58]
+	if e.bits != b {
+		e.bits, e.exp = b, math.Exp(-mean)
+	}
+	return e.exp
 }
 
 // inject hands n released arrivals to the engine, clamped to the owed
@@ -420,7 +471,7 @@ func (p *pumpState) inject(n int64) {
 // reconfigure swaps the engine for one built from the new options: the
 // new engine is constructed first (construction errors leave the old one
 // running), then the old engine is finished — its conservation invariants
-// verified — and the shared collector simply keeps accumulating across
+// verified — and the pump's collector simply keeps accumulating across
 // the swap.  Messages still queued in the outgoing engine are re-injected
 // into the incoming one so a /config POST under load does not shed the
 // in-flight backlog; the outgoing engine's Finish books them as censored
@@ -501,13 +552,22 @@ func (p *pumpState) fail(err error) {
 	p.finish(rep, err)
 }
 
-// status assembles the state publish stores.
+// status assembles the state publish stores, copying the collector
+// into the copy the last publish did not use.  A copy a scrape still
+// holds is replaced rather than refilled.
 func (p *pumpState) status(conservation error) *engineStatus {
+	c := p.copies[p.next]
+	if c.readers.Load() != 0 {
+		c = new(collectorCopy)
+		p.copies[p.next] = c
+	}
+	p.s.shared.CopyTo(&c.m)
+	p.next ^= 1
 	st := &engineStatus{
 		Protocol: p.o.protocol, RhoPrime: p.o.load, Lambda: p.lam, K: p.o.constraint(),
 		VirtualNow: p.st.Now(), Backlog: p.st.Backlog(), OwedArrivals: p.owed,
 		Steps: p.steps, Conservation: "ok", Draining: p.s.draining.Load(),
-		opts: p.o,
+		opts: p.o, col: c,
 	}
 	if p.est != nil {
 		st.RateEstimate = p.est.Rate()
@@ -535,7 +595,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /config", s.handleConfigGet)
 	mux.HandleFunc("POST /config", s.handleConfigPost)
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	if s.status.Load().opts.pprof {
 		mux.HandleFunc("GET /debug/pprof/", httppprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", httppprof.Cmdline)
@@ -653,9 +713,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the counters in the Prometheus text exposition
 // format.  The wait quantiles live here (not in the expvar snapshot)
 // because a quantile in the histogram's overflow region is +Inf, which
-// this format can represent and JSON cannot.
+// this format can represent and JSON cannot.  Every pump series comes
+// from one pinned status, so a scrape is exact as of one publish.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.shared.Snapshot()
+	st := s.pinStatus()
+	defer st.unpin()
+	snap := st.col.m.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	line := func(name string, v any) {
 		switch x := v.(type) {
@@ -684,22 +747,40 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	line("windowd_channel_utilization", snap.Utilization)
 	line("windowd_wait_mean", snap.WaitMean)
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(w, "windowd_wait_quantile{q=\"%g\"} %s\n", q, formatFloat(s.shared.WaitQuantile(q)))
+		fmt.Fprintf(w, "windowd_wait_quantile{q=\"%g\"} %s\n", q, formatFloat(st.col.m.WaitQuantile(q)))
 	}
-	if st := s.status.Load(); st != nil {
-		line("windowd_virtual_now", st.VirtualNow)
-		line("windowd_backlog", st.Backlog)
-		line("windowd_owed_arrivals", st.OwedArrivals)
-		line("windowd_steps_total", st.Steps)
-		if st.RateEstimate != 0 {
-			line("windowd_rate_estimate", st.RateEstimate)
-		}
-		healthy := 0
-		if st.Conservation == "ok" {
-			healthy = 1
-		}
-		line("windowd_conservation_ok", healthy)
+	line("windowd_virtual_now", st.VirtualNow)
+	line("windowd_backlog", st.Backlog)
+	line("windowd_owed_arrivals", st.OwedArrivals)
+	line("windowd_steps_total", st.Steps)
+	if st.RateEstimate != 0 {
+		line("windowd_rate_estimate", st.RateEstimate)
 	}
+	healthy := 0
+	if st.Conservation == "ok" {
+		healthy = 1
+	}
+	line("windowd_conservation_ok", healthy)
+}
+
+// handleVars serves /debug/vars in expvar.Handler's format: this
+// server's three variables, then the process-wide expvar ones.
+// "windowd" (the collector) and "windowd_engine" (the pump status)
+// render from one pinned status, so they agree as of one publish;
+// "windowd_ingest" renders the ingest books.
+func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
+	st := s.pinStatus()
+	defer st.unpin()
+	// Encoding errors are dropped, as expvar.Func drops them.
+	col, _ := json.Marshal(st.col.m.Snapshot())
+	eng, _ := json.Marshal(*st)
+	in, _ := json.Marshal(s.snapshot())
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintf(w, "{\n\"windowd\": %s,\n\"windowd_engine\": %s,\n\"windowd_ingest\": %s", col, eng, in)
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(w, "\n}\n")
 }
 
 // formatFloat renders a float for the text exposition format, spelling
@@ -733,8 +814,8 @@ func (s *server) handleConfigGet(w http.ResponseWriter, r *http.Request) {
 // fields to change (protocol, k or km, load, g, seed, synthetic), the new
 // engine is built and swapped on the pump goroutine, and the previous
 // engine's conservation invariants are verified during the handoff.  Tau
-// cannot change at runtime: the shared collector's histogram bin width is
-// fixed at τ.
+// cannot change at runtime: the pump's collector's histogram bin width
+// is fixed at τ.
 func (s *server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Protocol  *string  `json:"protocol"`

@@ -143,7 +143,7 @@ func TestTCPIngestEndToEnd(t *testing.T) {
 func bareTCPServer(t *testing.T, maxOwed int64) (*server, string) {
 	t.Helper()
 	srv := &server{
-		shared: metrics.NewShared(1, 256),
+		shared: metrics.NewSlotMetrics(1, 256),
 		notify: make(chan struct{}, 1),
 	}
 	srv.status.Store(&engineStatus{opts: &options{maxOwed: maxOwed}})

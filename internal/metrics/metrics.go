@@ -445,6 +445,33 @@ func (m *SlotMetrics) Merge(o *SlotMetrics) {
 	}
 }
 
+// CopyTo makes dst an exact copy of m, histogram included.  dst keeps
+// its own histogram storage, replacing it only when its shape differs
+// from m's, so copying into a dst that has been filled from m before
+// does not allocate.
+func (m *SlotMetrics) CopyTo(dst *SlotMetrics) {
+	h := dst.WaitHist
+	*dst = *m
+	switch {
+	case m.WaitHist == nil:
+	case h == nil || !h.SameShape(m.WaitHist):
+		dst.WaitHist = m.WaitHist.Clone()
+	default:
+		h.CopyFrom(m.WaitHist)
+		dst.WaitHist = h
+	}
+}
+
+// WaitQuantile returns the q-quantile of the accepted waiting times
+// (+Inf when q falls in the histogram's overflow region, 0 when the
+// collector has no histogram or no observations).
+func (m *SlotMetrics) WaitQuantile(q float64) float64 {
+	if m.WaitHist == nil || m.WaitHist.N() == 0 {
+		return 0
+	}
+	return m.WaitHist.Quantile(q)
+}
+
 // Snapshot is a flat, JSON-ready view of the counters plus the derived
 // rates; it is what the expvar exposition publishes.
 type Snapshot struct {

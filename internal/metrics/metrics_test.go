@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -345,4 +346,31 @@ func TestFaultObserverOrNop(t *testing.T) {
 	// stays safe.
 	FaultObserverOrNop(faultBlindCollector{}).RecordFault(FaultErasure)
 	FaultObserverOrNop(nil).RecordRecovery()
+}
+
+// CopyTo makes an equal collector whose histogram is its own: the first
+// copy into an empty collector allocates that histogram, and later
+// copies refill it in place without allocating.
+func TestSlotMetricsCopyTo(t *testing.T) {
+	src := NewSlotMetrics(1, 64)
+	src.RecordArrivals(5)
+	src.RecordSlots(SlotSuccess, 1, 25)
+	src.RecordTransmission(3.5, true)
+	var dst SlotMetrics
+	src.CopyTo(&dst)
+	if dst.WaitHist == src.WaitHist {
+		t.Fatal("copy shares the source's histogram")
+	}
+	h := dst.WaitHist
+	src.RecordTransmission(7.5, true)
+	src.RecordSlots(SlotIdle, 3, 3)
+	if a := testing.AllocsPerRun(10, func() { src.CopyTo(&dst) }); a != 0 {
+		t.Errorf("refilling copy: %v allocs, want 0", a)
+	}
+	if dst.WaitHist != h {
+		t.Error("refilling copy replaced a histogram of the right shape")
+	}
+	if !reflect.DeepEqual(&dst, src) {
+		t.Errorf("copy differs:\n got %+v\nwant %+v", dst, *src)
+	}
 }

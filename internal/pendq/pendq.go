@@ -21,6 +21,9 @@
 //   - CountIn and PopFirstIn answer a window that ends within a few
 //     slots of its start by scanning those slots, and fall back to
 //     Fenwick prefix sums, O(log n), only for a longer window;
+//   - OldestTwoFrom and NewestTwoBelow, the two keys a windowing
+//     process is decided from (window.Descend), scan the same way from
+//     a window's start or end, O(log n) only past the scan;
 //   - PopFirstIn marks the element dead in the tree instead of moving
 //     memory (lazy deletion), O(log n);
 //   - DiscardBelow advances a head index over the expired prefix,
@@ -36,7 +39,10 @@
 // engines' zero-steady-state-allocation invariant rests on this.
 package pendq
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // scanSlots bounds the slots, live or dead, that CountIn and firstIn walk
 // from a window's start before falling back to the Fenwick tree.
@@ -257,6 +263,62 @@ func (q *Queue[T]) firstIn(lo, hi float64) int {
 		return -1
 	}
 	return idx
+}
+
+// OldestTwoFrom returns the keys of the two oldest live items with key
+// >= lo, oldest first, reading +Inf for each that does not exist.  It
+// walks at most scanSlots slots from lo's slot before falling back to
+// the Fenwick tree, as CountIn does.
+func (q *Queue[T]) OldestTwoFrom(lo float64) (k1, k2 float64) {
+	k := [2]float64{math.Inf(1), math.Inf(1)}
+	if q.live == 0 {
+		return k[0], k[1]
+	}
+	i := q.lowerBound(q.head, lo)
+	end := min(i+scanSlots, len(q.keys))
+	found := 0
+	for j := i; j < end && found < 2; j++ {
+		if !q.dead[j] {
+			k[found] = q.keys[j]
+			found++
+		}
+	}
+	if found < 2 && end < len(q.keys) {
+		// The live items past slot end are the (r+1)-th, (r+2)-th, ...
+		for r := q.treePrefix(end); found < 2 && r < q.live; found++ {
+			r++
+			k[found] = q.keys[q.treeKth(r)]
+		}
+	}
+	return k[0], k[1]
+}
+
+// NewestTwoBelow returns the keys of the two newest live items with key
+// < hi, newest first, reading −Inf for each that does not exist.  It
+// walks at most scanSlots slots down from hi's slot before falling back
+// to the Fenwick tree.
+func (q *Queue[T]) NewestTwoBelow(hi float64) (k1, k2 float64) {
+	k := [2]float64{math.Inf(-1), math.Inf(-1)}
+	if q.live == 0 {
+		return k[0], k[1]
+	}
+	j := q.lowerBound(q.head, hi) // slots [head, j) hold the keys < hi
+	stop := max(j-scanSlots, q.head)
+	found := 0
+	for i := j - 1; i >= stop && found < 2; i-- {
+		if !q.dead[i] {
+			k[found] = q.keys[i]
+			found++
+		}
+	}
+	if found < 2 && stop > q.head {
+		// The live items below slot stop are the r-th, (r−1)-th, ...
+		for r := q.treePrefix(stop); found < 2 && r > 0; found++ {
+			k[found] = q.keys[q.treeKth(r)]
+			r--
+		}
+	}
+	return k[0], k[1]
 }
 
 // FirstIn returns the oldest live item with key in [lo, hi) without

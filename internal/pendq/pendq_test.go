@@ -30,6 +30,26 @@ func (r *refQueue) CountIn(lo, hi float64) int {
 	return b - a
 }
 
+// OldestTwoFrom and NewestTwoBelow read the reference's sorted keys
+// directly, with ±Inf for missing ones.
+func (r *refQueue) OldestTwoFrom(lo float64) (float64, float64) {
+	a := sort.SearchFloat64s(r.keys, lo)
+	k := [2]float64{math.Inf(1), math.Inf(1)}
+	for i := 0; i < 2 && a+i < len(r.keys); i++ {
+		k[i] = r.keys[a+i]
+	}
+	return k[0], k[1]
+}
+
+func (r *refQueue) NewestTwoBelow(hi float64) (float64, float64) {
+	b := sort.SearchFloat64s(r.keys, hi)
+	k := [2]float64{math.Inf(-1), math.Inf(-1)}
+	for i := 0; i < 2 && b-1-i >= 0; i++ {
+		k[i] = r.keys[b-1-i]
+	}
+	return k[0], k[1]
+}
+
 func (r *refQueue) PopFirstIn(lo, hi float64) (float64, int, bool) {
 	i := sort.SearchFloat64s(r.keys, lo)
 	if hi <= lo || i >= len(r.keys) || r.keys[i] >= hi {
@@ -126,6 +146,16 @@ func driveAgainstReference(t *testing.T, rng *rand.Rand, steps int) {
 			lo, hi := window()
 			if got, want := q.CountIn(lo, hi), ref.CountIn(lo, hi); got != want {
 				t.Fatalf("step %d: CountIn(%v,%v) = %d, reference %d", s, lo, hi, got, want)
+			}
+			g1, g2 := q.OldestTwoFrom(lo)
+			w1, w2 := ref.OldestTwoFrom(lo)
+			if g1 != w1 || g2 != w2 {
+				t.Fatalf("step %d: OldestTwoFrom(%v) = (%v,%v), reference (%v,%v)", s, lo, g1, g2, w1, w2)
+			}
+			g1, g2 = q.NewestTwoBelow(hi)
+			w1, w2 = ref.NewestTwoBelow(hi)
+			if g1 != w1 || g2 != w2 {
+				t.Fatalf("step %d: NewestTwoBelow(%v) = (%v,%v), reference (%v,%v)", s, hi, g1, g2, w1, w2)
 			}
 		case op < 8: // pop (and peek) oldest in window
 			lo, hi := window()
@@ -343,6 +373,18 @@ func TestQueueDeadRunInsideWindow(t *testing.T) {
 	}
 	if got := q.CountIn(0, hi); got != 5 {
 		t.Errorf("CountIn(0, %v) = %d, want 5 (key 0 and the four past the run)", hi, got)
+	}
+	// The two-key queries cross the same run from either side: a scan
+	// that gave up at its bound would read ±Inf, one that recounted the
+	// scanned slots would skip a key.
+	if k1, k2 := q.OldestTwoFrom(0.5); k1 != float64(run+1) || k2 != float64(run+2) {
+		t.Errorf("OldestTwoFrom(0.5) = (%v, %v), want (%d, %d)", k1, k2, run+1, run+2)
+	}
+	if k1, k2 := q.NewestTwoBelow(float64(run + 1)); k1 != 0 || k2 != math.Inf(-1) {
+		t.Errorf("NewestTwoBelow(%d) = (%v, %v), want (0, -Inf)", run+1, k1, k2)
+	}
+	if k1, k2 := q.NewestTwoBelow(float64(run + 2)); k1 != float64(run+1) || k2 != 0 {
+		t.Errorf("NewestTwoBelow(%d) = (%v, %v), want (%d, 0)", run+2, k1, k2, run+1)
 	}
 }
 

@@ -28,25 +28,39 @@ var allocConfig = Config{
 	Seed:    97,
 }
 
+// TestGlobalStepZeroAlloc covers both key rules of the two-key descent:
+// the older-first policies (controlled, FCFS) and the newer-first one
+// (LCFS).
 func TestGlobalStepZeroAlloc(t *testing.T) {
-	g, err := newGlobalState(allocConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm every buffer past its working size: pending-queue capacity,
-	// resolver step/interval scratch, tracker interval set, histogram.
-	for i := 0; i < 200000; i++ {
-		if err := g.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(100000, func() {
-		if err := g.step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state step allocates %v times per run; the hot path must be allocation-free", avg)
+	for _, pol := range []window.Policy{
+		allocConfig.Policy,
+		window.FCFS{Length: window.FixedG(2.6)},
+		window.LCFS{Length: window.FixedG(2.6)},
+	} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			cfg := allocConfig
+			cfg.Policy = pol
+			g, err := newGlobalState(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm every buffer past its working size: pending-queue
+			// capacity, resolver step/interval scratch, tracker interval
+			// set, histogram.
+			for i := 0; i < 200000; i++ {
+				if err := g.step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(100000, func() {
+				if err := g.step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state step allocates %v times per run; the hot path must be allocation-free", avg)
+			}
+		})
 	}
 }
 

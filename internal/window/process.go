@@ -113,6 +113,20 @@ func (r *Resolver) Reset(p Policy, v View) error {
 	r.examined = r.examined[:0]
 	r.released = r.released[:0]
 
+	w, err := ClampedInitialWindow(p, v)
+	if err != nil {
+		r.done = true
+		return err
+	}
+	r.done = false
+	r.enabled = w
+	return nil
+}
+
+// ClampedInitialWindow returns the policy's initial window clamped to
+// [v.TPast, v.TNewest], the window a windowing process starts from, and
+// an error if the clamped window is empty.
+func ClampedInitialWindow(p Policy, v View) (Window, error) {
 	w := p.InitialWindow(v)
 	if w.Start < v.TPast {
 		w.Start = v.TPast
@@ -121,13 +135,10 @@ func (r *Resolver) Reset(p Policy, v View) error {
 		w.End = v.TNewest
 	}
 	if w.Empty() {
-		r.done = true
-		return fmt.Errorf("window: initial window %v empty after clamping to [%v, %v]",
+		return w, fmt.Errorf("window: initial window %v empty after clamping to [%v, %v]",
 			w, v.TPast, v.TNewest)
 	}
-	r.done = false
-	r.enabled = w
-	return nil
+	return w, nil
 }
 
 // Observe attaches a metrics collector to the process: every window
