@@ -86,8 +86,6 @@ func TestSharedConcurrentSnapshot(t *testing.T) {
 					panic(fmt.Sprintf("torn snapshot: tx %d + discards %d > arrivals %d",
 						snap.Transmissions, snap.Discards, snap.Arrivals))
 				}
-				_ = s.Format()
-				_ = s.WaitQuantile(0.95)
 				_ = s.Checkpoint()
 			}
 		}()
