@@ -238,9 +238,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if opt.Metrics != nil {
-		if err := opt.Metrics.Publish("sweep"); err != nil {
-			fmt.Fprintln(stderr, "sweep: expvar publish:", err)
-		}
 		fmt.Fprintf(stderr, "grid slot metrics (every executed run's invariants verified)\n%s", opt.Metrics.Format())
 	}
 	if *cacheStats {

@@ -13,11 +13,12 @@
 // A single pump goroutine owns the incremental engine (sim.Stepper):
 // each iteration it absorbs the ingest counter, advances one decision
 // epoch of virtual channel time, and releases absorbed arrivals into the
-// engine at the configured rate λ′ = ρ′/(M·τ), so under saturation the
-// materialized arrival process is Poisson(λ′) in channel time — the same
-// law the batch simulator draws, which is what makes the live shed
-// fraction comparable to the batch element-(4) discard rate.  The ingest→schedule hot path is
-// allocation-free at steady state.
+// engine at the configured rate λ′ = ρ′/(M·τ): under saturation each
+// epoch releases a Poisson(λ′·elapsed) count, stamped inside the epoch's
+// last slot.  That is not the batch simulator's law of Poisson epochs in
+// channel time, so the live shed fraction differs from windowsim's at
+// the same point (docs/SERVICE.md gives both).  The ingest→schedule hot
+// path is allocation-free at steady state.
 //
 // Observability: /debug/vars exposes the pump's slot-level collector
 // ("windowd") and the pump status ("windowd_engine") as expvar JSON;

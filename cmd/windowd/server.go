@@ -325,10 +325,10 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 // run is the pump, the single goroutine owning the engine.  Each
 // iteration absorbs the ingest counter, advances one decision epoch, and
 // releases absorbed arrivals into the engine at the configured virtual
-// rate λ′ — so under saturation the materialized arrival process is
-// Poisson(λ′) in channel time, matching the batch simulator's arrival
-// law, while the owed ledger (a plain integer) absorbs any wall-clock
-// burst without allocating.
+// rate λ′ — under saturation a Poisson(λ′·elapsed) count per epoch,
+// which Stepper.materialize stamps inside the epoch's last slot — while
+// the owed ledger (a plain integer) absorbs any wall-clock burst without
+// allocating.
 //
 // At the figure-7 point the protocol probes about eleven mostly idle
 // slots per admission decision.  The pump takes each run of idle slots in

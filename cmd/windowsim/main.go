@@ -214,11 +214,6 @@ func main() {
 	fmt.Printf("max backlog         %d\n", rep.MaxBacklog)
 
 	if sm != nil {
-		// The run already verified the conservation invariants (it would
-		// have failed above otherwise); publish for expvar consumers too.
-		if err := sm.Publish("windowsim"); err != nil {
-			fmt.Fprintln(os.Stderr, "windowsim: expvar publish:", err)
-		}
 		fmt.Printf("\nslot metrics (invariants verified)\n%s", sm.Format())
 	}
 }

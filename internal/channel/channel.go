@@ -22,12 +22,16 @@ import (
 // Channel is a slotted broadcast channel.  It is driven slot by slot: the
 // caller reports how many stations chose to transmit, and the channel
 // returns the common feedback plus the slot's duration, while keeping
-// utilization accounts.
+// utilization accounts.  The accounts are slot counts, channel time is
+// derived from them, and consecutive idle slots reach the collector as
+// one record, so booking k idle slots at once (AccountIdle) cannot be
+// told from k one-slot bookings, in Stats or in the collector, at any τ.
 type Channel struct {
 	tau       float64
 	txTime    float64
 	stats     Stats
-	collector metrics.Collector // nil unless Observe was called
+	collector metrics.Collector // never nil (Nop unless Observe was called)
+	idleRun   int64             // idle slots not yet reported to the collector
 }
 
 // Stats aggregates channel activity.
@@ -60,12 +64,13 @@ func New(tau, txTime float64) *Channel {
 	if tau <= 0 || txTime < tau {
 		panic(fmt.Sprintf("channel: invalid timing (tau=%v, txTime=%v)", tau, txTime))
 	}
-	return &Channel{tau: tau, txTime: txTime}
+	return &Channel{tau: tau, txTime: txTime, collector: metrics.Nop{}}
 }
 
 // Observe attaches a metrics collector: every resolved slot is reported
-// to it with its outcome and duration.  Pass nil to detach.
-func (c *Channel) Observe(m metrics.Collector) { c.collector = m }
+// to it with its outcome and duration, consecutive idle slots as one
+// record.  Pass nil to detach.
+func (c *Channel) Observe(m metrics.Collector) { c.collector = metrics.OrNop(m) }
 
 // Tau returns the propagation delay (slot time).
 func (c *Channel) Tau() float64 { return c.tau }
@@ -79,35 +84,19 @@ func (c *Channel) TxTime() float64 { return c.txTime }
 // slots, the full transmission time for a success.  It panics on a
 // negative transmitter count.
 func (c *Channel) ResolveSlot(transmitters int) (window.Feedback, float64) {
-	switch {
-	case transmitters < 0:
-		panic(fmt.Sprintf("channel: %d transmitters", transmitters))
-	case transmitters == 0:
-		c.stats.IdleSlots++
-		c.stats.WastedTime += c.tau
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotIdle, 1, c.tau)
-		}
-		return window.Idle, c.tau
-	case transmitters == 1:
-		c.stats.SuccessSlots++
-		c.stats.BusyTime += c.txTime
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotSuccess, 1, c.txTime)
-		}
-		return window.Success, c.txTime
-	default:
-		c.stats.CollisionSlots++
-		c.stats.WastedTime += c.tau
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotCollision, 1, c.tau)
-		}
-		return window.Collision, c.tau
-	}
+	fb := Classify(transmitters)
+	return fb, c.AccountSlot(fb, transmitters == 1)
 }
 
-// Stats returns a copy of the accumulated accounts.
-func (c *Channel) Stats() Stats { return c.stats }
+// Stats returns a copy of the accumulated accounts, with the times
+// derived from the slot counts: the transmission time per success, τ per
+// idle or collision slot.
+func (c *Channel) Stats() Stats {
+	s := c.stats
+	s.BusyTime = float64(s.SuccessSlots) * c.txTime
+	s.WastedTime = float64(s.IdleSlots+s.CollisionSlots) * c.tau
+	return s
+}
 
 // Classify returns the true feedback for a transmitter count without
 // accounting for the slot — the physical-layer truth the fault layer
@@ -138,28 +127,35 @@ func (c *Channel) AccountSlot(truth window.Feedback, delivered bool) float64 {
 	if delivered && truth != window.Success {
 		panic(fmt.Sprintf("channel: delivery claimed on a %v slot", truth))
 	}
-	switch {
-	case truth == window.Idle:
-		c.stats.IdleSlots++
-		c.stats.WastedTime += c.tau
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotIdle, 1, c.tau)
-		}
+	if truth == window.Idle {
+		c.AccountIdle(1)
 		return c.tau
-	case delivered:
+	}
+	c.Flush()
+	if delivered {
 		c.stats.SuccessSlots++
-		c.stats.BusyTime += c.txTime
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotSuccess, 1, c.txTime)
-		}
+		c.collector.RecordSlots(metrics.SlotSuccess, 1, c.txTime)
 		return c.txTime
-	default:
-		// True collision, or an aborted (sender-misread) transmission.
-		c.stats.CollisionSlots++
-		c.stats.WastedTime += c.tau
-		if c.collector != nil {
-			c.collector.RecordSlots(metrics.SlotCollision, 1, c.tau)
-		}
-		return c.tau
+	}
+	// True collision, or an aborted (sender-misread) transmission.
+	c.stats.CollisionSlots++
+	c.collector.RecordSlots(metrics.SlotCollision, 1, c.tau)
+	return c.tau
+}
+
+// AccountIdle books k consecutive idle slots at once, exactly as k
+// AccountSlot(window.Idle, false) calls would.
+func (c *Channel) AccountIdle(k int64) {
+	c.stats.IdleSlots += k
+	c.idleRun += k
+}
+
+// Flush reports the idle slots booked since the last collector record.
+// The next non-idle slot flushes them anyway; call Flush before reading
+// the collector, for instance before a conservation check.
+func (c *Channel) Flush() {
+	if c.idleRun > 0 {
+		c.collector.RecordSlots(metrics.SlotIdle, c.idleRun, float64(c.idleRun)*c.tau)
+		c.idleRun = 0
 	}
 }

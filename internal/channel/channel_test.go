@@ -2,8 +2,10 @@ package channel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"windowctl/internal/metrics"
 	"windowctl/internal/window"
 )
 
@@ -116,4 +118,49 @@ func TestAccountSlot(t *testing.T) {
 		}
 	}()
 	c.AccountSlot(window.Collision, true)
+}
+
+// TestIdleRunBookingIsExact books the same slot sequence twice, once
+// with each idle stretch as one AccountIdle call and once slot by slot,
+// at a τ whose repeated sums are inexact: the two must be
+// indistinguishable in Stats and in the collector, bit for bit.
+func TestIdleRunBookingIsExact(t *testing.T) {
+	const tau = 0.37
+	runs := []int64{1, 250, 7, 1000}
+	book := func(bulk bool) (Stats, *metrics.SlotMetrics) {
+		c := New(tau, 25*tau)
+		col := metrics.NewSlotMetrics(tau, 8)
+		c.Observe(col)
+		for i, k := range runs {
+			if bulk {
+				c.AccountIdle(k)
+			} else {
+				for j := int64(0); j < k; j++ {
+					c.ResolveSlot(0)
+				}
+			}
+			if i%2 == 0 {
+				c.ResolveSlot(1)
+			} else {
+				c.AccountSlot(window.Success, false)
+			}
+		}
+		c.AccountIdle(3)
+		c.Flush()
+		return c.Stats(), col
+	}
+	bulkStats, bulkCol := book(true)
+	slotStats, slotCol := book(false)
+	if bulkStats != slotStats {
+		t.Errorf("Stats after k-slot idle bookings %+v, after k one-slot bookings %+v", bulkStats, slotStats)
+	}
+	if !reflect.DeepEqual(bulkCol, slotCol) {
+		t.Errorf("collector after k-slot idle bookings %+v, after k one-slot bookings %+v", bulkCol.Snapshot(), slotCol.Snapshot())
+	}
+	if want := float64(1+250+7+1000+3+2) * tau; slotStats.WastedTime != want {
+		t.Errorf("WastedTime = %v, want (idle + collision slots)·τ = %v", slotStats.WastedTime, want)
+	}
+	if slotCol.IdleSlots != slotStats.IdleSlots || slotCol.IdleSlots != 1+250+7+1000+3 {
+		t.Errorf("collector booked %d idle slots, channel %d; want 1261 each", slotCol.IdleSlots, slotStats.IdleSlots)
+	}
 }

@@ -38,8 +38,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"windowctl/internal/stats"
 )
@@ -538,56 +536,6 @@ func (m *SlotMetrics) Snapshot() Snapshot {
 // Snapshot as JSON.
 func (m *SlotMetrics) Var() expvar.Var {
 	return expvar.Func(func() any { return m.Snapshot() })
-}
-
-// Publish registers the collector in the process-wide expvar registry
-// under the given name (visible on /debug/vars when an HTTP server is
-// running).  Unlike expvar.Publish, re-publishing under a name this
-// package already owns is idempotent — the new collector atomically
-// replaces the old one behind the same expvar name — so a long-running
-// server can run repeated instrumented simulations without crashing.
-// Publishing over a name some other package registered directly with
-// expvar returns an error instead of panicking.
-func (m *SlotMetrics) Publish(name string) error { return PublishVar(name, m.Var()) }
-
-// published maps names this package has registered with expvar to the
-// mutable slot behind them, making re-publication a pointer swap instead
-// of a second (panicking) expvar.Publish call.
-var published = struct {
-	sync.Mutex
-	slots map[string]*varSlot
-}{slots: map[string]*varSlot{}}
-
-// varSlot is the indirection expvar actually holds: its current variable
-// can be swapped at any time, concurrently with /debug/vars renders.
-// The interface is boxed so atomic.Value always stores one concrete type.
-type varSlot struct{ v atomic.Value }
-
-type boxedVar struct{ v expvar.Var }
-
-// String implements expvar.Var by delegating to the current variable.
-func (s *varSlot) String() string { return s.v.Load().(boxedVar).v.String() }
-
-// PublishVar registers v in the process-wide expvar registry under the
-// given name, replacing any variable previously published *through this
-// function* under the same name.  It returns an error — instead of
-// expvar.Publish's panic — when the name is already taken by a variable
-// registered outside this package.
-func PublishVar(name string, v expvar.Var) error {
-	published.Lock()
-	defer published.Unlock()
-	if slot, ok := published.slots[name]; ok {
-		slot.v.Store(boxedVar{v})
-		return nil
-	}
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("metrics: expvar name %q is already taken by a foreign variable", name)
-	}
-	slot := &varSlot{}
-	slot.v.Store(boxedVar{v})
-	expvar.Publish(name, slot)
-	published.slots[name] = slot
-	return nil
 }
 
 // Format renders the counters as an aligned, human-readable text block —

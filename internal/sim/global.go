@@ -44,12 +44,8 @@ type Config struct {
 	// 0 means 1<<20.
 	MaxBacklog int
 	// DisableFastForward forces probe-by-probe execution of idle periods.
-	// The fast-forward is exact where sums of τ are exact (τ = 1, which
-	// the tests verify run for run): it moves the clock by one product
-	// k·τ, which at other τ can differ in the last bits from the k
-	// successive additions probe-by-probe execution makes, and the report's
-	// float statistics then differ in their last bits too.  This exists
-	// for that verification and for debugging.
+	// The fast-forward is exact (the tests verify the report run for run
+	// at several τ); this exists for that verification and for debugging.
 	DisableFastForward bool
 	// TxLengths, when non-nil, draws each message's transmission time
 	// from this law instead of the constant M·τ (Theorem 1 only asks
@@ -140,18 +136,17 @@ func (c Config) RhoPrime() float64 { return c.Lambda * c.M * c.Tau }
 // recycled across processes, and all scratch space lives in the state.
 // sim_alloc_test.go asserts this with testing.AllocsPerRun.
 type globalState struct {
-	cfg        Config
-	rng        *rngutil.Stream
-	tracker    *window.Tracker
-	col        metrics.Collector // never nil (Nop when uninstrumented)
-	inj        *fault.Injector   // nil unless fault injection is enabled
-	fo         metrics.FaultObserver
-	slotIdx    int64 // probe-slot counter indexing the fault schedule
-	now        float64
-	pending    pendq.Queue[bool] // key: arrival time; item: measured flag
-	nextArr    float64
-	maxBacklog int
-	rep        Report
+	slotClock // the clock: now is the time of the next slot to run
+	cfg       Config
+	rng       *rngutil.Stream
+	tracker   *window.Tracker
+	col       metrics.Collector // never nil (Nop when uninstrumented)
+	inj       *fault.Injector   // nil unless fault injection is enabled
+	fo        metrics.FaultObserver
+	slotIdx   int64             // probe-slot counter indexing the fault schedule
+	pending   pendq.Queue[bool] // key: arrival time; item: measured flag
+	nextArr   float64
+	rep       Report
 
 	// res is the recycled windowing-process state machine; discardFn and
 	// ffScratch keep the element-(4) and fast-forward paths closure- and
@@ -164,12 +159,6 @@ type globalState struct {
 	// perfect feedback, no rate estimator and a policy without a common
 	// random sequence, the conditions of the idle skip.
 	descend bool
-
-	// lastTxEnd is the end time of the most recent transmission; the
-	// scheduling time of the next transmitted message runs from
-	// max(lastTxEnd, its own arrival) to the start of its transmission,
-	// exactly §4's definition of the scheduling-time service component.
-	lastTxEnd float64
 }
 
 // RunGlobal simulates the protocol with the global-view engine and
@@ -203,11 +192,12 @@ func newGlobalState(cfg Config) (*globalState, error) {
 		return nil, err
 	}
 	g := &globalState{
-		cfg:     cfg,
-		rng:     rngutil.New(cfg.Seed),
-		tracker: window.NewTracker(0, discardConstraint(cfg.Policy, cfg.K), cfg.Policy.Discards()),
-		col:     metrics.OrNop(cfg.Collector),
-		fo:      metrics.FaultObserverOrNop(cfg.Collector),
+		slotClock: slotClock{tau: cfg.Tau},
+		cfg:       cfg,
+		rng:       rngutil.New(cfg.Seed),
+		tracker:   window.NewTracker(0, discardConstraint(cfg.Policy, cfg.K), cfg.Policy.Discards()),
+		col:       metrics.OrNop(cfg.Collector),
+		fo:        metrics.FaultObserverOrNop(cfg.Collector),
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
@@ -221,10 +211,6 @@ func newGlobalState(cfg Config) (*globalState, error) {
 		g.nextArr = math.Inf(1)
 	} else {
 		g.nextArr = g.rng.Exp(cfg.Lambda)
-	}
-	g.maxBacklog = cfg.MaxBacklog
-	if g.maxBacklog <= 0 {
-		g.maxBacklog = 1 << 20
 	}
 	g.discardFn = func(arrival float64, measured bool) {
 		if measured {
@@ -249,8 +235,8 @@ func (g *globalState) extremeKeys(side window.Side, w window.Window) (float64, f
 // arrivals, check the backlog bound, run one windowing process.
 func (g *globalState) step() error {
 	g.fill(g.now)
-	if g.pending.Len() > g.maxBacklog {
-		return fmt.Errorf("sim: backlog exceeded %d at t=%v (unstable configuration)", g.maxBacklog, g.now)
+	if err := g.rep.noteBacklog(&g.cfg, g.pending.Len(), g.now); err != nil {
+		return err
 	}
 	return g.oneProcess()
 }
@@ -276,7 +262,7 @@ func (g *globalState) run() (Report, error) {
 func (g *globalState) fill(t float64) {
 	added := int64(0)
 	for g.nextArr <= t {
-		g.pending.Push(g.nextArr, g.nextArr >= g.cfg.Warmup && g.nextArr < g.cfg.EndTime)
+		g.pending.Push(g.nextArr, g.cfg.measured(g.nextArr))
 		if g.nextArr >= g.cfg.Warmup {
 			g.rep.Offered++
 		}
@@ -285,9 +271,6 @@ func (g *globalState) fill(t float64) {
 	}
 	if added > 0 {
 		g.col.RecordArrivals(added)
-	}
-	if n := g.pending.Len(); n > g.rep.MaxBacklog {
-		g.rep.MaxBacklog = n
 	}
 }
 
@@ -325,10 +308,10 @@ func (g *globalState) oneProcess() error {
 	if view.TNewest-view.TPast <= 0 {
 		// Nothing unexamined (start-up corner): let time pass one slot.
 		// The channel is idle for it; the collector must see the slot so
-		// the slot-time conservation invariant accounts for all of g.now
+		// the slot-time conservation invariant accounts for all of the clock
 		// (Report.IdleSlots deliberately excludes this pre-protocol slot).
 		g.col.RecordSlots(metrics.SlotIdle, 1, g.cfg.Tau)
-		g.now += g.cfg.Tau
+		g.tick(1)
 		return nil
 	}
 	if g.inj != nil {
@@ -397,35 +380,18 @@ func (g *globalState) bookDescent(d window.Descent) error {
 }
 
 // book books one decided windowing process whose splits are already
-// recorded: one collector record and one τ of clock per idle or
-// collision slot (the sums are order-free, every such slot costing τ),
-// then the success slot, which is always a process's last, one tracker
-// commit of the examined windows and the delivery.
+// recorded: its idle and collision slots, then the success slot, which
+// is always a process's last and delivers, and one tracker commit of the
+// examined windows.
 func (g *globalState) book(idle, coll int, success bool, sw window.Window, examined []window.Window) error {
-	txTime := g.cfg.M * g.cfg.Tau
-	if g.cfg.TxLengths != nil && success {
-		txTime = g.cfg.TxLengths.Sample(g.rng)
-	}
-	for i := 0; i < idle; i++ {
-		g.now += g.cfg.Tau
-		g.col.RecordSlots(metrics.SlotIdle, 1, g.cfg.Tau)
-	}
-	for i := 0; i < coll; i++ {
-		g.now += g.cfg.Tau
-		g.col.RecordSlots(metrics.SlotCollision, 1, g.cfg.Tau)
-	}
-	g.rep.IdleSlots += int64(idle)
-	g.rep.CollisionSlots += int64(coll)
-	successStart := g.now
+	g.bookSlots(int64(idle), int64(coll))
 	if success {
-		g.col.RecordSlots(metrics.SlotSuccess, 1, txTime)
-		g.now += txTime
+		if err := g.deliver(sw); err != nil {
+			return err
+		}
 	}
 	g.tracker.Commit(g.now, examined)
-	if !success {
-		return nil
-	}
-	return g.deliver(sw, successStart)
+	return nil
 }
 
 // resolveFaulty runs one windowing process under imperfect feedback: each
@@ -469,25 +435,14 @@ func (g *globalState) resolveFaulty(view window.View) error {
 			g.fo.RecordFault(kind)
 		}
 		if truth == window.Success && perceived == window.Success {
-			txTime := g.cfg.M * g.cfg.Tau
-			if g.cfg.TxLengths != nil {
-				txTime = g.cfg.TxLengths.Sample(g.rng)
-			}
-			successStart := g.now
-			g.col.RecordSlots(metrics.SlotSuccess, 1, txTime)
-			g.now += txTime
-			if err := g.deliver(enabled, successStart); err != nil {
+			if err := g.deliver(enabled); err != nil {
 				return err
 			}
 		} else if truth == window.Idle {
-			g.rep.IdleSlots++
-			g.col.RecordSlots(metrics.SlotIdle, 1, g.cfg.Tau)
-			g.now += g.cfg.Tau
+			g.bookSlots(1, 0)
 		} else {
 			// True collision, or a success aborted by the sender's misread.
-			g.rep.CollisionSlots++
-			g.col.RecordSlots(metrics.SlotCollision, 1, g.cfg.Tau)
-			g.now += g.cfg.Tau
+			g.bookSlots(0, 1)
 		}
 		r.OnFeedback(perceived)
 	}
@@ -498,10 +453,30 @@ func (g *globalState) resolveFaulty(view window.View) error {
 	return nil
 }
 
-// deliver removes the single pending message inside the window of a
-// delivered success and records its outcome.  The feedback said exactly
-// one message lies inside, so anything else is an engine bug.
-func (g *globalState) deliver(w window.Window, successStart float64) error {
+// bookSlots moves the clock past idle + coll τ-slots of a process and
+// books them: the report's counts and one collector record per outcome
+// (the order is free, every such slot costing τ).
+func (g *globalState) bookSlots(idle, coll int64) {
+	g.tick(idle + coll)
+	g.rep.IdleSlots += idle
+	g.rep.CollisionSlots += coll
+	if idle > 0 {
+		g.col.RecordSlots(metrics.SlotIdle, idle, float64(idle)*g.cfg.Tau)
+	}
+	if coll > 0 {
+		g.col.RecordSlots(metrics.SlotCollision, coll, float64(coll)*g.cfg.Tau)
+	}
+}
+
+// deliver transmits the single pending message inside the window of a
+// delivered success from the clock, for M·τ or a TxLengths draw, and
+// books it.  The feedback said exactly one message lies inside, so
+// anything else is an engine bug.
+func (g *globalState) deliver(w window.Window) error {
+	txTime := g.cfg.M * g.cfg.Tau
+	if g.cfg.TxLengths != nil {
+		txTime = g.cfg.TxLengths.Sample(g.rng)
+	}
 	switch n := g.pending.CountIn(w.Start, w.End); {
 	case n == 0:
 		return fmt.Errorf("sim: success window %v holds no pending message", w)
@@ -509,22 +484,8 @@ func (g *globalState) deliver(w window.Window, successStart float64) error {
 		return fmt.Errorf("sim: success window %v holds more than one message", w)
 	}
 	arrival, measured, _ := g.pending.PopFirstIn(w.Start, w.End)
-	g.rep.Transmissions++
-
-	trueWait := successStart - arrival
-	g.col.RecordTransmission(trueWait, trueWait <= g.cfg.K)
-	if measured {
-		g.rep.TrueWait.Add(trueWait)
-		g.rep.WaitHist.Add(trueWait)
-		schedStart := math.Max(g.lastTxEnd, arrival)
-		g.rep.SchedulingSlots.Add((successStart - schedStart) / g.cfg.Tau)
-		if trueWait > g.cfg.K {
-			g.rep.LostLate++
-		} else {
-			g.rep.AcceptedInTime++
-		}
-	}
-	g.lastTxEnd = g.now
+	g.col.RecordSlots(metrics.SlotSuccess, 1, txTime)
+	g.rep.transmit(&g.slotClock, g.col, g.cfg.K, arrival, measured, txTime)
 	return nil
 }
 
@@ -533,14 +494,10 @@ func (g *globalState) deliver(w window.Window, successStart float64) error {
 // the probe is certainly idle and examines everything up to now; the
 // protocol then repeats one such whole-span probe per slot until the next
 // arrival.  Skipping them in one step is what makes long lightly-loaded
-// runs (e.g. the M = 100 figure panels) affordable.  The skip is exact
-// where sums of τ are exact: the post-skip protocol state (cleared
-// region, clock, idle-slot count) then equals what probe-by-probe
-// execution produces.  It moves the clock by one product skip·τ, so at
-// a τ such as 0.37 the clock, and every wait measured against it, can
-// differ from probe-by-probe execution in the last bits; a successive-
-// addition loop would be exact at any τ, at the cost of a per-slot
-// arrival check.  Stepper.IdleRun is the same skip for the stepped
+// runs (e.g. the M = 100 figure panels) affordable.  The skip leaves the
+// protocol state (cleared region, clock, idle-slot count) exactly as
+// probe-by-probe execution does, since both read every slot time from
+// the slot clock.  Stepper.IdleRun is the same skip for the stepped
 // engine, which cannot know the next arrival and so is handed the run's
 // end by its caller.
 func (g *globalState) fastForwardIdle(view window.View) bool {
@@ -552,21 +509,13 @@ func (g *globalState) fastForwardIdle(view window.View) bool {
 	if !g.idleProbe(view) {
 		return false
 	}
-	// One idle probe clears the span; any further full slots before the
-	// next arrival are idle single-slot probes.  The skip also stops at
-	// EndTime — probe-by-probe execution never runs probes beyond it.
-	skip := 1 + int(math.Max(0, (g.nextArr-g.now-g.cfg.Tau)/g.cfg.Tau))
-	if !math.IsInf(g.cfg.EndTime, 1) {
-		// (An infinite horizon has no limit, and int(+Inf) would overflow.)
-		if limit := int(math.Ceil((g.cfg.EndTime - g.now) / g.cfg.Tau)); skip > limit {
-			skip = limit
-		}
-	}
-	if skip < 1 {
-		skip = 1
-	}
-	g.now += float64(skip) * g.cfg.Tau
-	g.bookIdle(int64(skip), view.TPast, g.now-g.cfg.Tau)
+	// One idle probe clears the span; every further slot before the next
+	// arrival is an idle single-slot probe.  Probe-by-probe execution runs
+	// a slot only before EndTime, and the slot at or after the arrival
+	// materializes it, so the skip runs the slots before both.
+	skip := g.slotsBefore(math.Min(g.nextArr, g.cfg.EndTime))
+	g.tick(skip)
+	g.bookIdle(skip, view.TPast)
 	return true
 }
 
@@ -602,13 +551,13 @@ func sweepsSpan(p window.Policy, view window.View) bool {
 	return w.Start <= view.TPast && w.End >= view.TNewest
 }
 
-// bookIdle books k skipped idle probe slots, which ended at the current
-// clock and together cleared [from, to]: the report's idle count, one
-// collector record for all of them, and one tracker commit.
-func (g *globalState) bookIdle(k int64, from, to float64) {
+// bookIdle books the k idle probe slots the clock just ticked past,
+// which together cleared [from, the last one's time]: the report's idle
+// count, one collector record for all of them, and one tracker commit.
+func (g *globalState) bookIdle(k int64, from float64) {
 	g.rep.IdleSlots += k
 	g.col.RecordSlots(metrics.SlotIdle, k, float64(k)*g.cfg.Tau)
-	g.ffScratch[0] = window.Window{Start: from, End: to}
+	g.ffScratch[0] = window.Window{Start: from, End: g.last()}
 	g.tracker.Commit(g.now, g.ffScratch[:])
 }
 

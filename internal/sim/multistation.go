@@ -107,8 +107,8 @@ func lockstepPlan(cfg MultiConfig) (every int64, idx []int) {
 // symmetry (stations truly diverge), so that one case routes to the dense
 // engine instead.
 type multiState struct {
+	slotClock // the clock: now is the time of the next slot to run
 	cfg       MultiConfig
-	now       float64 // the clock: the time of the next slot to run
 	ch        *channel.Channel
 	bank      *station.Bank
 	tracker   *window.Tracker
@@ -120,7 +120,6 @@ type multiState struct {
 	fo        metrics.FaultObserver
 	slotIdx   int64 // probe-slot counter indexing the fault schedule
 	rep       Report
-	lastTxEnd float64
 	resident  int64
 	runErr    error
 	discardFn func(arrival float64)
@@ -171,10 +170,11 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 // allocation tests drive it step by step).
 func newMultiState(cfg MultiConfig) (*multiState, error) {
 	m := &multiState{
-		cfg: cfg,
-		ch:  channel.New(cfg.Tau, cfg.M*cfg.Tau),
-		col: metrics.OrNop(cfg.Collector),
-		fo:  metrics.FaultObserverOrNop(cfg.Collector),
+		slotClock: slotClock{tau: cfg.Tau},
+		cfg:       cfg,
+		ch:        channel.New(cfg.Tau, cfg.M*cfg.Tau),
+		col:       metrics.OrNop(cfg.Collector),
+		fo:        metrics.FaultObserverOrNop(cfg.Collector),
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
@@ -184,7 +184,7 @@ func newMultiState(cfg MultiConfig) (*multiState, error) {
 		m.inj = inj
 	}
 	m.ch.Observe(cfg.Collector)
-	m.rep.WaitHist = stats.NewHistogram(cfg.Tau, int(cfg.K/cfg.Tau)+64)
+	m.rep.WaitHist = stats.NewHistogram(cfg.Tau, waitHistBins(cfg.K, cfg.Tau))
 	bank, err := station.NewBank(cfg.Stations, cfg.Seed, cfg.Lambda/float64(cfg.Stations), cfg.Arrivals, cfg.workerCount())
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -221,7 +221,7 @@ func newMultiState(cfg MultiConfig) (*multiState, error) {
 		}
 	}
 	m.discardFn = func(arrival float64) {
-		if m.measured(arrival) {
+		if m.cfg.measured(arrival) {
 			m.rep.LostSender++
 		}
 	}
@@ -248,11 +248,11 @@ func (m *multiState) run() (Report, error) {
 // step runs the slot at the clock and moves the clock to the slot after
 // it.
 func (m *multiState) step() {
-	next := m.slot(m.now)
+	now := m.now
+	m.slot()
 	if m.runErr == nil {
-		m.runErr = clockStep(m.now, next)
+		m.runErr = clockStep(now, m.now)
 	}
-	m.now = next
 }
 
 // clockStep checks a slot engine's move from the slot at now to the next
@@ -340,22 +340,14 @@ func (m *multiState) checkLockstep() {
 	}
 }
 
-// slot executes the protocol slot at now — decision epoch if needed, one
-// probe, feedback distribution — and returns the time of the next slot.
-// On failure it sets runErr and the returned time is meaningless.
-func (m *multiState) slot(now float64) float64 {
+// slot executes the protocol slot at the clock — decision epoch if
+// needed, one probe, feedback distribution — and moves the clock past it.
+// On failure it sets runErr and the clock is meaningless.
+func (m *multiState) slot() {
+	now := m.now
 	m.bank.GenerateUntil(now)
-	backlog := m.bank.Len()
-	if backlog > m.rep.MaxBacklog {
-		m.rep.MaxBacklog = backlog
-	}
-	maxBacklog := m.cfg.MaxBacklog
-	if maxBacklog <= 0 {
-		maxBacklog = 1 << 20
-	}
-	if backlog > maxBacklog {
-		m.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now)
-		return now
+	if m.runErr = m.rep.noteBacklog(&m.cfg.Config, m.bank.Len(), now); m.runErr != nil {
+		return
 	}
 
 	if !m.inProcess {
@@ -363,77 +355,40 @@ func (m *multiState) slot(now float64) float64 {
 		v := m.decisionView(now)
 		if v.TNewest-v.TPast <= 0 {
 			// Nothing unexamined yet: idle for one slot.
-			return now + m.cfg.Tau
+			m.tick(1)
+			return
 		}
-		if next, ok := m.idleRun(now, v); ok {
-			return next
-		}
-		if !m.beginProcess(v) {
-			return now
+		if m.idleRun(v) || !m.beginProcess(v) {
+			return
 		}
 	}
 	m.probeSlots++
-
-	if m.inj != nil {
-		return m.faultySlot(now)
-	}
 
 	// One station with one pending message in the window transmits;
 	// several messages — at one station or many — jam the slot, so the
 	// feedback depends only on the network-wide message count.
 	enabled := m.resolver.Enabled()
-	totalMsgs := m.bank.CountIn(enabled)
-	fb, dur := m.ch.ResolveSlot(totalMsgs)
-
-	m.resolver.OnFeedback(fb)
-	m.feedShadows(fb)
-
-	if fb == window.Success {
-		arrival, _, ok := m.bank.PopOldestIn(enabled)
-		if !ok {
-			m.runErr = fmt.Errorf("sim: success with no pending message in %v", enabled)
-			return now
+	truth := channel.Classify(m.bank.CountIn(enabled))
+	fb := truth
+	if m.inj != nil {
+		// Common-noise imperfect feedback: the perception passes through
+		// the fault layer once for everyone, and delivery is gated on the
+		// sender's perception (a sender that misreads its successful slot
+		// aborts the transmission, which then costs τ as a collision slot
+		// — see the internal/fault package doc).  Common noise cannot
+		// desynchronize the stations, so no recovery watch is needed
+		// here; per-station faults run on the dense engine.
+		var kind metrics.FaultKind
+		var faulted bool
+		fb, kind, faulted = m.inj.Perceive(m.slotIdx, 0, truth)
+		m.slotIdx++
+		if faulted {
+			m.fo.RecordFault(kind)
 		}
-		m.recordTransmission(arrival, now, now+dur)
 	}
-
-	if m.resolver.Done() {
-		m.tracker.Commit(now+dur, m.resolver.Examined())
-		m.inProcess = false
-	}
-	m.checkLockstep()
-	return now + dur
-}
-
-// faultySlot executes one protocol slot under common-noise imperfect
-// feedback: the channel classifies the true outcome, the (shared)
-// perception passes through the fault layer once for everyone, and
-// message delivery is gated on the sender's perception (a sender that
-// misreads its successful slot aborts the transmission, which then costs
-// τ as a collision slot — see the internal/fault package doc).  Common
-// noise cannot desynchronize the stations, so no recovery watch is
-// needed here; per-station faults run on the dense engine.  It returns
-// the time of the next slot.
-func (m *multiState) faultySlot(now float64) float64 {
-	enabled := m.resolver.Enabled()
-	totalMsgs := m.bank.CountIn(enabled)
-	truth := channel.Classify(totalMsgs)
-	slot := m.slotIdx
-	m.slotIdx++
-	fb, kind, faulted := m.inj.Perceive(slot, 0, truth)
-	if faulted {
-		m.fo.RecordFault(kind)
-	}
-
 	delivered := truth == window.Success && fb == window.Success
-	dur := m.ch.AccountSlot(truth, delivered)
-	if delivered {
-		arrival, _, ok := m.bank.PopOldestIn(enabled)
-		if !ok {
-			m.runErr = fmt.Errorf("sim: success with no pending message in %v", enabled)
-			return now
-		}
-		m.recordTransmission(arrival, now, now+dur)
+	if !m.pass(delivered, enabled, m.ch.AccountSlot(truth, delivered)) {
+		return
 	}
 
 	m.resolver.OnFeedback(fb)
@@ -443,11 +398,10 @@ func (m *multiState) faultySlot(now float64) float64 {
 		if m.resolver.Recovered() {
 			m.fo.RecordRecovery()
 		}
-		m.tracker.Commit(now+dur, m.resolver.Examined())
+		m.tracker.Commit(m.now, m.resolver.Examined())
 		m.inProcess = false
 	}
 	m.checkLockstep()
-	return now + dur
 }
 
 // decisionView performs the first half of the common decision epoch:
@@ -459,36 +413,26 @@ func (m *multiState) decisionView(now float64) window.View {
 	return m.tracker.View(now, m.cfg.Tau, m.cfg.Lambda)
 }
 
-// idleRun takes a run of idle slots in one step, the global
-// engine's idle skip: when nothing is pending, the feedback is perfect,
-// no lockstep shadow must see the probes and the policy sweeps the
-// unexamined span (sweepsSpan), the slot at now is certainly one idle
-// probe that clears everything up to now, and so is every later slot
-// until the next arrival.  The run books those slots on the channel one
-// by one, as slot-by-slot execution does, commits their cleared span
-// once and returns the time of the slot after them.  It returns ok
-// false, changing nothing, when the epoch does not qualify.
-func (m *multiState) idleRun(now float64, v window.View) (next float64, ok bool) {
+// idleRun takes a run of idle slots in one step, the global engine's
+// idle skip: when nothing is pending, the feedback is perfect, no
+// lockstep shadow must see the probes and the policy sweeps the
+// unexamined span (sweepsSpan), the slot at the clock is certainly one
+// idle probe that clears everything up to it, and so is every later slot
+// that starts before EndTime and before the next arrival (a slot at or
+// after it materializes it).  It returns false, changing nothing, when
+// the epoch does not qualify.
+func (m *multiState) idleRun(v window.View) bool {
 	if m.bank.Len() != 0 || m.inj != nil || len(m.shadows) != 0 || !sweepsSpan(m.policy, v) {
-		return 0, false
+		return false
 	}
-	tau, end, arrival := m.cfg.Tau, m.cfg.EndTime, m.bank.NextArrivalAt()
-	t, k := now, int64(1)
-	m.ch.ResolveSlot(0)
-	// The slot at next runs iff next < EndTime, and its GenerateUntil
-	// materializes the next arrival iff arrival <= next.  The clock moves
-	// by successive additions, as slot-by-slot execution moves it, so
-	// every slot time matches bit for bit.
-	for next = t + tau; next < end && next < arrival; next = t + tau {
-		t = next
-		k++
-		m.ch.ResolveSlot(0)
-	}
+	k := m.slotsBefore(math.Min(m.bank.NextArrivalAt(), m.cfg.EndTime))
+	m.tick(k)
+	m.ch.AccountIdle(k)
 	m.probeSlots += k
 	m.idleRuns++
-	m.runScratch[0] = window.Window{Start: v.TPast, End: t}
-	m.tracker.Commit(next, m.runScratch[:])
-	return next, true
+	m.runScratch[0] = window.Window{Start: v.TPast, End: m.last()}
+	m.tracker.Commit(m.now, m.runScratch[:])
+	return true
 }
 
 // beginProcess performs the second half of the common decision epoch,
@@ -514,33 +458,28 @@ func (m *multiState) beginProcess(v window.View) bool {
 	return true
 }
 
-func (m *multiState) measured(arrival float64) bool {
-	return arrival >= m.cfg.Warmup && arrival < m.cfg.EndTime
-}
-
-func (m *multiState) recordTransmission(arrival, successStart, txEnd float64) {
-	m.rep.Transmissions++
-	trueWait := successStart - arrival
-	m.col.RecordTransmission(trueWait, trueWait <= m.cfg.K)
-	if m.measured(arrival) {
-		m.rep.TrueWait.Add(trueWait)
-		m.rep.WaitHist.Add(trueWait)
-		schedStart := math.Max(m.lastTxEnd, arrival)
-		m.rep.SchedulingSlots.Add((successStart - schedStart) / m.cfg.Tau)
-		if trueWait > m.cfg.K {
-			m.rep.LostLate++
-		} else {
-			m.rep.AcceptedInTime++
-		}
+// pass moves the clock past the probe slot just booked on the channel,
+// which lasted dur: a τ-slot, or a delivered transmission of the message
+// the slot's window enabled.  It returns false when the run has failed.
+func (m *multiState) pass(delivered bool, enabled window.Window, dur float64) bool {
+	if !delivered {
+		m.tick(1)
+		return true
 	}
-	m.lastTxEnd = txEnd
+	arrival, _, ok := m.bank.PopOldestIn(enabled)
+	if !ok {
+		m.runErr = fmt.Errorf("sim: success with no pending message in %v", enabled)
+		return false
+	}
+	m.rep.transmit(&m.slotClock, m.col, m.cfg.K, arrival, m.cfg.measured(arrival), dur)
+	return true
 }
 
 func (m *multiState) finish() {
 	end := m.cfg.EndTime
 	m.bank.ForEach(func(arrival float64, _ int32) {
 		m.resident++
-		if !m.measured(arrival) {
+		if !m.cfg.measured(arrival) {
 			return
 		}
 		if end-arrival > m.cfg.K {
@@ -551,13 +490,5 @@ func (m *multiState) finish() {
 		m.rep.EndBacklog++
 	})
 	m.col.RecordEndPending(m.rep.LostPending, m.rep.Censored)
-	st := m.ch.Stats()
-	m.rep.IdleSlots = st.IdleSlots
-	m.rep.CollisionSlots = st.CollisionSlots
-	m.rep.Utilization = st.Utilization()
-	// Every measured message lands in exactly one outcome bucket, so the
-	// offered count is their sum (the report tests verify the identity
-	// Offered = Decided + Censored on the global simulator, whose offered
-	// count is taken at arrival time instead).
-	m.rep.Offered = m.rep.Decided() + m.rep.Censored
+	m.rep.finishFromChannel(m.ch)
 }

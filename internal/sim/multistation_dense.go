@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"windowctl/internal/channel"
 	"windowctl/internal/fault"
@@ -35,6 +34,7 @@ import (
 // MultiConfig.Workers via the pool, with order-independent merges (sum,
 // max index, first error), so reports are bit-identical at any width.
 type denseState struct {
+	slotClock // the clock: now is the time of the next slot to run
 	cfg       MultiConfig
 	ch        *channel.Channel
 	stations  []*station.Station
@@ -51,7 +51,6 @@ type denseState struct {
 	// some station's is set (see member).
 	transforms []Transform
 	rep        HeterogeneousReport
-	lastTxEnd  float64
 	resident   int64 // messages still queued anywhere when the run ended
 	runErr     error
 	discardFn  func(station.Message)
@@ -85,11 +84,12 @@ type denseState struct {
 // validated.
 func runMultiDense(cfg MultiConfig, transforms []Transform) (HeterogeneousReport, error) {
 	m := &denseState{
-		cfg:  cfg,
-		ch:   channel.New(cfg.Tau, cfg.M*cfg.Tau),
-		col:  metrics.OrNop(cfg.Collector),
-		fo:   metrics.FaultObserverOrNop(cfg.Collector),
-		pool: newPool(cfg.workerCount()),
+		slotClock: slotClock{tau: cfg.Tau},
+		cfg:       cfg,
+		ch:        channel.New(cfg.Tau, cfg.M*cfg.Tau),
+		col:       metrics.OrNop(cfg.Collector),
+		fo:        metrics.FaultObserverOrNop(cfg.Collector),
+		pool:      newPool(cfg.workerCount()),
 	}
 	defer m.pool.close()
 	if cfg.Faults.Enabled() {
@@ -104,7 +104,7 @@ func runMultiDense(cfg MultiConfig, transforms []Transform) (HeterogeneousReport
 	// stations; the collector sees the same event stream the global-view
 	// simulator reports directly.
 	m.ch.Observe(cfg.Collector)
-	m.rep.WaitHist = stats.NewHistogram(cfg.Tau, int(cfg.K/cfg.Tau)+64)
+	m.rep.WaitHist = stats.NewHistogram(cfg.Tau, waitHistBins(cfg.K, cfg.Tau))
 	m.rep.Stations = make([]StationReport, cfg.Stations)
 	for _, tr := range transforms {
 		if tr != nil {
@@ -147,7 +147,7 @@ func runMultiDense(cfg MultiConfig, transforms []Transform) (HeterogeneousReport
 	// split would be counted once per station.
 	m.resolvers[0].Observe(cfg.Collector)
 	m.discardFn = func(d station.Message) {
-		if m.measured(d.Arrival) {
+		if m.cfg.measured(d.Arrival) {
 			m.rep.LostSender++
 			m.rep.Stations[d.Origin].LostSender++
 		}
@@ -156,12 +156,12 @@ func runMultiDense(cfg MultiConfig, transforms []Transform) (HeterogeneousReport
 	m.bindShardFns()
 
 	checkpoint, check := conservationStart(cfg.Collector)
-	for now := 0.0; m.runErr == nil && now < cfg.EndTime; {
-		next := m.slot(now)
+	for m.runErr == nil && m.now < cfg.EndTime {
+		now := m.now
+		m.slot()
 		if m.runErr == nil {
-			m.runErr = clockStep(now, next)
+			m.runErr = clockStep(now, m.now)
 		}
-		now = next
 	}
 	if m.runErr != nil {
 		return m.rep, m.runErr
@@ -292,10 +292,11 @@ func corruptFeedback(fb window.Feedback) window.Feedback {
 	return window.Collision
 }
 
-// slot executes the protocol slot at now — decision epoch if needed, one
-// probe, feedback distribution — and returns the time of the next slot.
-// On failure it sets runErr and the returned time is meaningless.
-func (m *denseState) slot(now float64) float64 {
+// slot executes the protocol slot at the clock — decision epoch if
+// needed, one probe, feedback distribution — and moves the clock past it.
+// On failure it sets runErr and the clock is meaningless.
+func (m *denseState) slot() {
+	now := m.now
 	for _, s := range m.stations {
 		s.GenerateUntil(now)
 	}
@@ -303,33 +304,27 @@ func (m *denseState) slot(now float64) float64 {
 	for _, s := range m.stations {
 		backlog += s.QueueLen()
 	}
-	if backlog > m.rep.MaxBacklog {
-		m.rep.MaxBacklog = backlog
-	}
-	maxBacklog := m.cfg.MaxBacklog
-	if maxBacklog <= 0 {
-		maxBacklog = 1 << 20
-	}
-	if backlog > maxBacklog {
-		m.runErr = fmt.Errorf("sim: backlog exceeded %d at t=%v", maxBacklog, now)
-		return now
+	if m.runErr = m.rep.noteBacklog(&m.cfg.Config, backlog, now); m.runErr != nil {
+		return
 	}
 
 	if !m.inProcess {
 		// Decision epoch at every station.
 		if !m.beginProcess(now) {
 			// Nothing unexamined yet: idle for one slot.
-			return now + m.cfg.Tau
+			m.tick(1)
+			return
 		}
 	}
 	m.probeSlots++
 
 	if m.inj != nil {
-		return m.faultySlot(now)
+		m.faultySlot()
+		return
 	}
 
 	if !m.verifySampledLockstep() {
-		return now
+		return
 	}
 
 	// Stations transmit; multiple messages at one station jam the slot.
@@ -350,23 +345,12 @@ func (m *denseState) slot(now float64) float64 {
 		m.pool.run(len(m.resolvers), m.feedFn)
 	}
 
-	if fb == window.Success {
-		w := m.member(txStation, m.curEnabled)
-		msg, ok := m.stations[txStation].PopOldestIn(w)
-		if !ok {
-			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, w)
-			return now
-		}
-		m.recordTransmission(msg, txStation, now, now+dur)
+	if !m.pass(fb == window.Success, txStation, m.curEnabled, dur) {
+		return
 	}
-
 	if m.resolvers[0].Done() {
-		m.curEnd = now + dur
-		m.curExamined = m.resolvers[0].Examined()
-		m.pool.run(len(m.trackers), m.commitFn)
-		m.inProcess = false
+		m.commitAll()
 	}
-	return now + dur
 }
 
 // faultySlot executes one protocol slot under imperfect feedback: the
@@ -379,9 +363,9 @@ func (m *denseState) slot(now float64) float64 {
 // wide recovery protocol: every station aborts its process, nothing is
 // committed, and the next decision epoch re-enables the window from the
 // common pre-process state, with element-(4) deadline discards still
-// enforced on whatever the re-enabled window holds.  It returns the time
-// of the next slot.
-func (m *denseState) faultySlot(now float64) float64 {
+// enforced on whatever the re-enabled window holds.  It moves the clock
+// past the slot.
+func (m *denseState) faultySlot() {
 	// Each station transmits by its own resolver's view.  The views agree
 	// whenever this point is reached: desynchronization is detected and
 	// recovered in the very slot it first manifests, before it can drive
@@ -410,20 +394,17 @@ func (m *denseState) faultySlot(now float64) float64 {
 		}
 		// Shared perception preserves lockstep; keep asserting it.
 		if !m.verifySampledLockstep() {
-			return now
+			return
 		}
 	}
 
 	delivered := truth == window.Success && m.perceived[txStation] == window.Success
-	dur := m.ch.AccountSlot(truth, delivered)
+	var enabled window.Window
 	if delivered {
-		w := m.member(txStation, m.resolvers[txStation].Enabled())
-		msg, ok := m.stations[txStation].PopOldestIn(w)
-		if !ok {
-			m.runErr = fmt.Errorf("sim: station %d vanished message in %v", txStation, w)
-			return now
-		}
-		m.recordTransmission(msg, txStation, now, now+dur)
+		enabled = m.resolvers[txStation].Enabled()
+	}
+	if !m.pass(delivered, txStation, enabled, m.ch.AccountSlot(truth, delivered)) {
+		return
 	}
 
 	m.pool.run(len(m.resolvers), m.feedOwnFn)
@@ -439,12 +420,17 @@ func (m *denseState) faultySlot(now float64) float64 {
 		if m.resolvers[0].Recovered() {
 			m.fo.RecordRecovery()
 		}
-		m.curEnd = now + dur
-		m.curExamined = m.resolvers[0].Examined()
-		m.pool.run(len(m.trackers), m.commitFn)
-		m.inProcess = false
+		m.commitAll()
 	}
-	return now + dur
+}
+
+// commitAll ends the windowing process: every station's tracker commits
+// station 0's examined windows at the clock.
+func (m *denseState) commitAll() {
+	m.curEnd = m.now
+	m.curExamined = m.resolvers[0].Examined()
+	m.pool.run(len(m.trackers), m.commitFn)
+	m.inProcess = false
 }
 
 // desynced reports whether the stations' resolvers disagree after this
@@ -517,30 +503,33 @@ func (m *denseState) beginProcess(now float64) bool {
 	return true
 }
 
-func (m *denseState) measured(arrival float64) bool {
-	return arrival >= m.cfg.Warmup && arrival < m.cfg.EndTime
-}
-
-func (m *denseState) recordTransmission(msg station.Message, sender int, successStart, txEnd float64) {
-	m.rep.Transmissions++
-	trueWait := successStart - msg.Arrival
-	m.col.RecordTransmission(trueWait, trueWait <= m.cfg.K)
-	if m.measured(msg.Arrival) {
+// pass moves the clock past the probe slot just booked on the channel,
+// which lasted dur: a τ-slot, or a delivered transmission by sender of
+// its message in (its view of) the enabled window.  It returns false
+// when the run has failed.
+func (m *denseState) pass(delivered bool, sender int, enabled window.Window, dur float64) bool {
+	if !delivered {
+		m.tick(1)
+		return true
+	}
+	w := m.member(sender, enabled)
+	msg, ok := m.stations[sender].PopOldestIn(w)
+	if !ok {
+		m.runErr = fmt.Errorf("sim: station %d vanished message in %v", sender, w)
+		return false
+	}
+	measured := m.cfg.measured(msg.Arrival)
+	wait := m.rep.transmit(&m.slotClock, m.col, m.cfg.K, msg.Arrival, measured, dur)
+	if measured {
 		sr := &m.rep.Stations[sender]
-		m.rep.TrueWait.Add(trueWait)
-		sr.TrueWait.Add(trueWait)
-		m.rep.WaitHist.Add(trueWait)
-		schedStart := math.Max(m.lastTxEnd, msg.Arrival)
-		m.rep.SchedulingSlots.Add((successStart - schedStart) / m.cfg.Tau)
-		if trueWait > m.cfg.K {
-			m.rep.LostLate++
+		sr.TrueWait.Add(wait)
+		if wait > m.cfg.K {
 			sr.LostLate++
 		} else {
-			m.rep.AcceptedInTime++
 			sr.AcceptedInTime++
 		}
 	}
-	m.lastTxEnd = txEnd
+	return true
 }
 
 func (m *denseState) finish() {
@@ -553,7 +542,7 @@ func (m *denseState) finish() {
 				break
 			}
 			m.resident++
-			if !m.measured(msg.Arrival) {
+			if !m.cfg.measured(msg.Arrival) {
 				continue
 			}
 			if end-msg.Arrival > m.cfg.K {
@@ -566,15 +555,7 @@ func (m *denseState) finish() {
 		}
 	}
 	m.col.RecordEndPending(m.rep.LostPending, m.rep.Censored)
-	st := m.ch.Stats()
-	m.rep.IdleSlots = st.IdleSlots
-	m.rep.CollisionSlots = st.CollisionSlots
-	m.rep.Utilization = st.Utilization()
-	// Every measured message lands in exactly one outcome bucket, so the
-	// offered count is their sum (the report tests verify the identity
-	// Offered = Decided + Censored on the global simulator, whose offered
-	// count is taken at arrival time instead).
-	m.rep.Offered = m.rep.Decided() + m.rep.Censored
+	m.rep.finishFromChannel(m.ch)
 	for i := range m.rep.Stations {
 		sr := &m.rep.Stations[i]
 		sr.Offered = sr.AcceptedInTime + sr.LostSender + sr.LostLate + sr.LostPending

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,9 +73,9 @@ func engineCases() []engineCase {
 // idleRunCases reach the shared path's idle runs, which every
 // engineCase refuses because it verifies lockstep: a lockstep-off twin
 // of each engine case (the random and faulted twins still refuse),
-// arrivals exactly on slot times, and light loads at a non-integer τ or
-// with an EndTime off the slot grid, where a run's successive-addition
-// clock and its stop rule decide whether it keeps the dense engine's
+// arrivals exactly on slot times, and light loads at non-integer τ
+// (0.37, 0.1, 3.3) or with an EndTime off the slot grid, where a run's
+// stop rule (slotsBefore) decides whether it keeps the dense engine's
 // slot times.
 func idleRunCases() []engineCase {
 	var cases []engineCase
@@ -113,6 +114,10 @@ func idleRunCases() []engineCase {
 		light("rho0.1/tau0.37/fcfs", "fcfs", 4121, 0.37, 0.1, 20000*0.37),
 		light("end-offgrid", "controlled", 4122, 1, 0.5, 20000.5),
 		light("end-offgrid/tau0.37/variant", "variant", 4123, 0.37, 0.3, 7400.2),
+		light("rho0.1/tau0.1", "controlled", 4125, 0.1, 0.1, 2000.03),
+		light("rho0.3/tau0.1/fcfs", "fcfs", 4126, 0.1, 0.3, 2000),
+		light("rho0.1/tau3.3/lcfs", "lcfs", 4127, 3.3, 0.1, 66000.7),
+		light("rho0.3/tau3.3", "controlled", 4128, 3.3, 0.3, 66000),
 	)
 }
 
@@ -272,5 +277,46 @@ func TestMultiSharedRejectsNilArrival(t *testing.T) {
 	cfg.Arrivals = func(int) station.ArrivalProcess { return nil }
 	if _, err := RunMultiStation(cfg); err == nil {
 		t.Fatal("nil arrival process accepted")
+	}
+}
+
+// TestMultiUnconstrainedK runs the multi-station engines at K = +Inf,
+// which Config.K documents as legal for delay-only runs.  Sizing the
+// wait histogram as int(K/τ)+64 overflows there, and the run panics with
+// "stats: invalid histogram shape" instead of returning a report.
+func TestMultiUnconstrainedK(t *testing.T) {
+	cfg := func() Config {
+		return Config{
+			Policy: goldenPolicy("fcfs", 31), Tau: 1, M: 25, Lambda: 0.5 / 25,
+			K: math.Inf(1), EndTime: 5000, Warmup: 500, Seed: 4130,
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (Report, error)
+	}{
+		{"shared", func() (Report, error) { return RunMultiStation(MultiConfig{Config: cfg(), Stations: 4}) }},
+		{"dense", func() (Report, error) {
+			return RunMultiStation(MultiConfig{Config: cfg(), Stations: 4, forceDense: true})
+		}},
+		{"heterogeneous", func() (Report, error) {
+			rep, err := RunHeterogeneous(HeterogeneousConfig{Config: cfg(), Transforms: make([]Transform, 4)})
+			return rep.Report, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("K = +Inf run panicked with %q, want a report", r)
+				}
+			}()
+			rep, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Transmissions == 0 || rep.Loss() != 0 {
+				t.Errorf("K = +Inf run sent %d messages at loss %v, want some sent and no loss", rep.Transmissions, rep.Loss())
+			}
+		})
 	}
 }

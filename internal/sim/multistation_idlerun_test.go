@@ -110,12 +110,13 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 			var atArrival, atEnd int
 			var pending bool // a run was taken in the previous step
 			var last float64 // its last slot
+			var next float64 // the slot after it
 			var nextArr float64
 			stepLight(t, cfg, func(m *multiState, now float64, runSlots int64) {
 				if pending {
 					pending = false
-					if now != last+cfg.Tau {
-						t.Fatalf("the slot after a run ending at %v is at %v, want %v", last, now, last+cfg.Tau)
+					if now != next {
+						t.Fatalf("the slot after a run ending at %v is at %v, want %v", last, now, next)
 					}
 					switch {
 					case now >= cfg.EndTime:
@@ -129,11 +130,13 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 				if runSlots == 0 {
 					return
 				}
-				// The run's slot times, added as the engine adds them.
-				last = now
-				for i := int64(1); i < runSlots; i++ {
-					last += cfg.Tau
+				// The run's slot times, by the clock formula anchor + k·τ:
+				// an idle run leaves the anchor where it was.
+				if first := m.anchor + float64(m.k-runSlots)*cfg.Tau; first != now {
+					t.Fatalf("a run taken at %v started at %v", now, first)
 				}
+				last = m.anchor + float64(m.k-1)*cfg.Tau
+				next = m.anchor + float64(m.k)*cfg.Tau
 				nextArr = m.bank.NextArrivalAt()
 				if last >= nextArr {
 					t.Fatalf("run booked the slot at %v idle, but slot-by-slot execution materializes the arrival at %v by then, and that slot probes a non-empty backlog", last, nextArr)

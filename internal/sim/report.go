@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"windowctl/internal/channel"
 	"windowctl/internal/metrics"
 	"windowctl/internal/stats"
 )
@@ -118,4 +119,63 @@ func (r Report) String() string {
 	return fmt.Sprintf("offered=%d loss=%.4f (sender=%d late=%d pending=%d) censored=%d util=%.3f meanWait=%.3f schedSlots=%.3f",
 		r.Offered, r.Loss(), r.LostSender, r.LostLate, r.LostPending, r.Censored,
 		r.Utilization, r.TrueWait.Mean(), r.SchedulingSlots.Mean())
+}
+
+// transmit books a delivered message that arrived at arrival and is sent
+// for d from the clock, which it re-anchors at the transmission's end.
+// The collector sees the transmission; a measured message lands in the
+// wait statistics and in an outcome bucket.  Its scheduling time runs
+// from the end of the previous transmission (the clock's anchor) or its
+// arrival, whichever is later, to the start of its own: §4's
+// scheduling-time service component.  It returns the true wait.
+func (r *Report) transmit(clk *slotClock, col metrics.Collector, k, arrival float64, measured bool, d float64) float64 {
+	start, schedStart := clk.now, math.Max(clk.anchor, arrival)
+	clk.transmit(d)
+	r.Transmissions++
+	wait := start - arrival
+	col.RecordTransmission(wait, wait <= k)
+	if measured {
+		r.TrueWait.Add(wait)
+		r.WaitHist.Add(wait)
+		r.SchedulingSlots.Add((start - schedStart) / clk.tau)
+		if wait > k {
+			r.LostLate++
+		} else {
+			r.AcceptedInTime++
+		}
+	}
+	return wait
+}
+
+// finishFromChannel completes a slot engine's report from its channel's
+// accounts once every message has its outcome bucket.
+func (r *Report) finishFromChannel(ch *channel.Channel) {
+	ch.Flush()
+	st := ch.Stats()
+	r.IdleSlots, r.CollisionSlots, r.Utilization = st.IdleSlots, st.CollisionSlots, st.Utilization()
+	// Every measured message lands in exactly one outcome bucket, so the
+	// offered count is their sum (the report tests verify the identity
+	// Offered = Decided + Censored on the global simulator, whose offered
+	// count is taken at arrival time instead).
+	r.Offered = r.Decided() + r.Censored
+}
+
+// noteBacklog raises MaxBacklog to backlog and fails a run whose backlog
+// at now exceeds cfg.MaxBacklog (0 means 1<<20).
+func (r *Report) noteBacklog(cfg *Config, backlog int, now float64) error {
+	r.MaxBacklog = max(r.MaxBacklog, backlog)
+	limit := cfg.MaxBacklog
+	if limit <= 0 {
+		limit = 1 << 20
+	}
+	if backlog > limit {
+		return fmt.Errorf("sim: backlog exceeded %d at t=%v (unstable configuration)", limit, now)
+	}
+	return nil
+}
+
+// measured reports whether a message arriving at arrival counts in the
+// run's statistics: after the warmup and before the horizon.
+func (c *Config) measured(arrival float64) bool {
+	return arrival >= c.Warmup && arrival < c.EndTime
 }

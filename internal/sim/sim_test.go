@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,36 +124,39 @@ func TestGlobalSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestIdleFastForwardIsExact requires the idle fast-forward to leave the
+// whole report bit-identical to probe-by-probe execution, for every
+// deterministic policy and at slot times whose repeated sums are inexact
+// (0.37, 0.1, 3.3) as well as at τ = 1.  reflect.DeepEqual follows
+// Report.WaitHist, so the histograms are compared by content.
 func TestIdleFastForwardIsExact(t *testing.T) {
-	// The idle fast-forward must produce bit-identical results to
-	// probe-by-probe execution, for every deterministic policy, at τ = 1,
-	// the only τ run here: sums of τ are exact there, while at other τ the
-	// fast-forward's product k·τ can differ in the last bits from k
-	// successive additions (see Config.DisableFastForward).
-	for _, pol := range []window.Policy{
+	policies := []window.Policy{
 		window.Controlled{Length: window.FixedG(gStar)},
 		window.FCFS{Length: window.FixedG(gStar)},
 		window.LCFS{Length: window.FixedG(gStar)},
-	} {
-		cfg := Config{
-			Policy: pol, Tau: 1, M: 25, Lambda: 0.004, K: 100, // light load: long idle periods
-			EndTime: 3e5, Warmup: 1e4, Seed: 88,
-		}
-		fast, err := RunGlobal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.DisableFastForward = true
-		slow, err := RunGlobal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Offered != slow.Offered || fast.Lost() != slow.Lost() ||
-			fast.Transmissions != slow.Transmissions ||
-			fast.IdleSlots != slow.IdleSlots ||
-			fast.CollisionSlots != slow.CollisionSlots ||
-			fast.TrueWait.Mean() != slow.TrueWait.Mean() {
-			t.Fatalf("%s: fast-forward diverged:\n fast: %v\n slow: %v", pol.Name(), fast, slow)
+		window.ControlledVariant{Length: window.FixedG(gStar), Side: window.Newer, PositionLag: 2},
+	}
+	for _, tau := range []float64{1, 0.37, 0.1, 3.3} {
+		for _, pol := range policies {
+			for seed := uint64(1); seed <= 3; seed++ {
+				cfg := Config{
+					Policy: pol, Tau: tau, M: 25, Lambda: 0.3 / (25 * tau), K: 50 * tau,
+					EndTime: 4e4 * tau, Warmup: 2e3 * tau, Seed: seed,
+				}
+				fast, err := RunGlobal(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.DisableFastForward = true
+				slow, err := RunGlobal(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fast, slow) {
+					t.Errorf("tau=%v %s seed %d: fast-forward diverged from probe-by-probe execution:\n fast: %s\n slow: %s",
+						tau, pol.Name(), seed, goldenFingerprint(fast), goldenFingerprint(slow))
+				}
+			}
 		}
 	}
 }

@@ -94,13 +94,13 @@ func (s *Stepper) Step() error {
 
 // IdleRun advances the engine through a run of idle slots in one call and
 // leaves it exactly as the same number of Step calls would, apart from
-// the last bits of the collector's idle time at a non-integer τ (one
-// record of k slots instead of k records).  It applies only when the next
-// Step is certainly one idle probe that clears the whole unexamined span,
-// under the conditions of the batch engine's idle skip (fastForwardIdle)
-// and with nothing injected; otherwise it returns (0, 0) and changes
-// nothing.  After that probe, every slot until the next arrival is one
-// more idle probe of the slot just past, as in the batch skip.
+// the collector getting one record of k idle slots instead of k records
+// of one.  It applies only when the next Step is certainly one idle probe
+// that clears the whole unexamined span, under the conditions of the
+// batch engine's idle skip (fastForwardIdle) and with nothing injected;
+// otherwise it returns (0, 0) and changes nothing.  After that probe,
+// every slot until the next arrival is one more idle probe of the slot
+// just past, as in the batch skip.
 //
 // The stepped engine cannot know when the next arrival comes, so the
 // caller supplies it: release is called once per slot with the channel
@@ -117,16 +117,13 @@ func (s *Stepper) IdleRun(limit int, release func(elapsed float64) int) (slots, 
 	if !g.idleProbe(view) {
 		return 0, 0
 	}
-	var last float64 // the clock before the last slot: the probes cleared [TPast, last]
 	for released == 0 && slots < limit && g.now < g.cfg.EndTime {
-		// Successive additions, not slots·τ: Now() must match Step's clock
-		// bit for bit at any τ.
-		last = g.now
-		g.now += g.cfg.Tau
+		start := g.now
+		g.tick(1)
 		slots++
-		released = release(g.now - last)
+		released = release(g.now - start)
 	}
-	g.bookIdle(int64(slots), view.TPast, last)
+	g.bookIdle(int64(slots), view.TPast)
 	return slots, released
 }
 

@@ -166,7 +166,7 @@ func TestKeyPinned(t *testing.T) {
 		Tau: 1, RhoPrime: 0.5, M: 25, KOverM: 2,
 		Discipline: "controlled", Seed: 1, Messages: 1000, Replications: 1,
 	}
-	const want = "0b8a83892ad2c3d1f5a33d1b2ee88a5e85153a416ac335747e7710b927f23bff"
+	const want = "021e451a8a4ec9304db2c77186a02c57f641984c6a9a361c3bdbbcf4da4d6491"
 	if got := p.Key(); got != want {
 		t.Fatalf("pinned key changed:\n got %s\nwant %s", got, want)
 	}
