@@ -23,15 +23,18 @@ import (
 // caller reports how many stations chose to transmit, and the channel
 // returns the common feedback plus the slot's duration, while keeping
 // utilization accounts.  The accounts are slot counts, channel time is
-// derived from them, and consecutive idle slots reach the collector as
-// one record, so booking k idle slots at once (AccountIdle) cannot be
-// told from k one-slot bookings, in Stats or in the collector, at any τ.
+// derived from them, and the idle and collision slots between two
+// successes reach the collector as one record each, flushed at the
+// second success (or by Flush).  So booking k idle or collision slots at
+// once (AccountIdle, AccountCollisions) cannot be told from k one-slot
+// bookings, in Stats or in the collector, at any τ.
 type Channel struct {
 	tau       float64
 	txTime    float64
 	stats     Stats
 	collector metrics.Collector // never nil (Nop unless Observe was called)
 	idleRun   int64             // idle slots not yet reported to the collector
+	collRun   int64             // collision slots not yet reported to the collector
 }
 
 // Stats aggregates channel activity.
@@ -68,8 +71,8 @@ func New(tau, txTime float64) *Channel {
 }
 
 // Observe attaches a metrics collector: every resolved slot is reported
-// to it with its outcome and duration, consecutive idle slots as one
-// record.  Pass nil to detach.
+// to it with its outcome and duration, the idle and the collision slots
+// between two successes as one record each.  Pass nil to detach.
 func (c *Channel) Observe(m metrics.Collector) { c.collector = metrics.OrNop(m) }
 
 // Tau returns the propagation delay (slot time).
@@ -124,22 +127,18 @@ func Classify(transmitters int) window.Feedback {
 // exactly ResolveSlot's accounting.  It panics when delivered is claimed
 // on a non-success slot.
 func (c *Channel) AccountSlot(truth window.Feedback, delivered bool) float64 {
-	if delivered && truth != window.Success {
+	switch {
+	case delivered && truth != window.Success:
 		panic(fmt.Sprintf("channel: delivery claimed on a %v slot", truth))
-	}
-	if truth == window.Idle {
+	case truth == window.Idle:
 		c.AccountIdle(1)
-		return c.tau
-	}
-	c.Flush()
-	if delivered {
-		c.stats.SuccessSlots++
-		c.collector.RecordSlots(metrics.SlotSuccess, 1, c.txTime)
+	case delivered:
+		c.AccountSuccess(c.txTime)
 		return c.txTime
+	default:
+		// True collision, or an aborted (sender-misread) transmission.
+		c.AccountCollisions(1)
 	}
-	// True collision, or an aborted (sender-misread) transmission.
-	c.stats.CollisionSlots++
-	c.collector.RecordSlots(metrics.SlotCollision, 1, c.tau)
 	return c.tau
 }
 
@@ -150,12 +149,35 @@ func (c *Channel) AccountIdle(k int64) {
 	c.idleRun += k
 }
 
-// Flush reports the idle slots booked since the last collector record.
-// The next non-idle slot flushes them anyway; call Flush before reading
-// the collector, for instance before a conservation check.
+// AccountCollisions books k collision slots at once, exactly as k
+// AccountSlot(window.Collision, false) calls would.
+func (c *Channel) AccountCollisions(k int64) {
+	c.stats.CollisionSlots += k
+	c.collRun += k
+}
+
+// AccountSuccess books a delivered transmission that occupied the
+// channel for d: the collector records d, while Stats, whose times
+// derive from slot counts, prices every success at the transmission
+// time.  The idle and collision slots booked since the last success are
+// flushed first.
+func (c *Channel) AccountSuccess(d float64) {
+	c.Flush()
+	c.stats.SuccessSlots++
+	c.collector.RecordSlots(metrics.SlotSuccess, 1, d)
+}
+
+// Flush reports the idle and collision slots booked since the last
+// collector record.  The next success flushes them anyway; call Flush
+// before reading the collector, for instance before a conservation
+// check.
 func (c *Channel) Flush() {
 	if c.idleRun > 0 {
 		c.collector.RecordSlots(metrics.SlotIdle, c.idleRun, float64(c.idleRun)*c.tau)
 		c.idleRun = 0
+	}
+	if c.collRun > 0 {
+		c.collector.RecordSlots(metrics.SlotCollision, c.collRun, float64(c.collRun)*c.tau)
+		c.collRun = 0
 	}
 }

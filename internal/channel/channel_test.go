@@ -121,9 +121,10 @@ func TestAccountSlot(t *testing.T) {
 }
 
 // TestIdleRunBookingIsExact books the same slot sequence twice, once
-// with each idle stretch as one AccountIdle call and once slot by slot,
-// at a τ whose repeated sums are inexact: the two must be
-// indistinguishable in Stats and in the collector, bit for bit.
+// with each idle and collision stretch as one AccountIdle or
+// AccountCollisions call and once slot by slot, at a τ whose repeated
+// sums are inexact: the two must be indistinguishable in Stats and in
+// the collector, bit for bit.
 func TestIdleRunBookingIsExact(t *testing.T) {
 	const tau = 0.37
 	runs := []int64{1, 250, 7, 1000}
@@ -134,9 +135,13 @@ func TestIdleRunBookingIsExact(t *testing.T) {
 		for i, k := range runs {
 			if bulk {
 				c.AccountIdle(k)
+				c.AccountCollisions(k / 2)
 			} else {
 				for j := int64(0); j < k; j++ {
 					c.ResolveSlot(0)
+					if j%2 == 1 {
+						c.ResolveSlot(2)
+					}
 				}
 			}
 			if i%2 == 0 {
@@ -157,7 +162,7 @@ func TestIdleRunBookingIsExact(t *testing.T) {
 	if !reflect.DeepEqual(bulkCol, slotCol) {
 		t.Errorf("collector after k-slot idle bookings %+v, after k one-slot bookings %+v", bulkCol.Snapshot(), slotCol.Snapshot())
 	}
-	if want := float64(1+250+7+1000+3+2) * tau; slotStats.WastedTime != want {
+	if want := float64(1+250+7+1000+3+2+(0+125+3+500)) * tau; slotStats.WastedTime != want {
 		t.Errorf("WastedTime = %v, want (idle + collision slots)·τ = %v", slotStats.WastedTime, want)
 	}
 	if slotCol.IdleSlots != slotStats.IdleSlots || slotCol.IdleSlots != 1+250+7+1000+3 {

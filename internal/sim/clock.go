@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"windowctl/internal/metrics"
+)
 
 // slotClock is every slot engine's one definition of slot time.  The
 // channel is slotted: an idle or collision slot, an aborted transmission
@@ -31,6 +35,15 @@ func (c *slotClock) last() float64 { return c.at(c.k - 1) }
 func (c *slotClock) tick(n int64) {
 	c.k += n
 	c.now = c.at(c.k)
+}
+
+// corner runs the start-up corner slot, when nothing is unexamined yet:
+// no probe runs, so the report's IdleSlots does not count it, but the
+// channel is idle for τ, so the collector records it as an idle slot and
+// its slot time accounts for all of the clock.
+func (c *slotClock) corner(col metrics.Collector) {
+	col.RecordSlots(metrics.SlotIdle, 1, c.tau)
+	c.tick(1)
 }
 
 // transmit moves the clock past a transmission of length d that starts

@@ -93,9 +93,8 @@ func (s *Stepper) Step() error {
 }
 
 // IdleRun advances the engine through a run of idle slots in one call and
-// leaves it exactly as the same number of Step calls would, apart from
-// the collector getting one record of k idle slots instead of k records
-// of one.  It applies only when the next Step is certainly one idle probe
+// leaves it, collector included, exactly as the same number of Step calls
+// would.  It applies only when the next Step is certainly one idle probe
 // that clears the whole unexamined span, under the conditions of the
 // batch engine's idle skip (fastForwardIdle) and with nothing injected;
 // otherwise it returns (0, 0) and changes nothing.  After that probe,
@@ -175,7 +174,14 @@ func (s *Stepper) materialize() {
 // leaves the run unchanged.  A caller that hands the collector to a
 // second engine calls it before building that engine: the second
 // engine's conservation checkpoint must already include these arrivals.
-func (s *Stepper) Materialize() { s.materialize() }
+//
+// It also flushes the slot records the channel holds back until the next
+// success, so the collector is complete when the second engine takes it
+// over.
+func (s *Stepper) Materialize() {
+	s.materialize()
+	s.g.ch.Flush()
+}
 
 // Now returns the current virtual channel time.
 func (s *Stepper) Now() float64 { return s.g.now }
@@ -196,6 +202,7 @@ func (s *Stepper) CheckNow() error {
 	if s.checker == nil {
 		return nil
 	}
+	s.g.ch.Flush()
 	return s.checker.CheckConservation(s.checkpoint, int64(s.g.pending.Len()), s.g.now)
 }
 
