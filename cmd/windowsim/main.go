@@ -1,8 +1,9 @@
 // Command windowsim simulates the window protocol at one operating point
-// and prints the measured loss, delay and channel statistics.  It can run
-// either the fast global-view simulator or the full multi-station
-// simulator (which verifies that all distributed stations stay in
-// lockstep).
+// and prints the measured loss, delay and channel statistics.  It runs
+// the global-view simulator, fed by one Poisson stream or, with
+// -stations N, by N per-station arrival streams merged in time order
+// (the multi-station simulator; with -feedback-error-per-station it runs
+// every station's own state machines).
 //
 // With -metrics the run is instrumented with a slot-level collector: the
 // idle/success/collision slot counts, window splits, element-(4)

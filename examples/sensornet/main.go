@@ -3,10 +3,11 @@
 // a detection report is useless once stale, so the network must maximize
 // the fraction of reports delivered within the staleness bound.
 //
-// The example runs the full *multi-station* simulator (every sensor runs
-// its own copy of the protocol state machine, kept consistent only by
-// common channel feedback) and compares the controlled protocol against
-// the uncontrolled FCFS and LCFS disciplines at the same load.
+// The example runs the *multi-station* simulator (every sensor has its
+// own arrival stream; the protocol state machines, kept consistent only
+// by common channel feedback, are one shared copy) and compares the
+// controlled protocol against the uncontrolled FCFS and LCFS disciplines
+// at the same load.
 //
 //	go run ./examples/sensornet
 package main
@@ -42,7 +43,8 @@ func main() {
 			d, rep.Loss(), rep.LostSender, rep.LostLate+rep.LostPending, rep.Utilization)
 	}
 
-	fmt.Println("\nEvery run verified that all 24 stations stayed in lockstep on every slot.")
+	fmt.Println("\nAll 24 stations hear the same channel feedback, so their window state machines")
+	fmt.Println("agree on every slot: the simulator keeps one shared copy fed by 24 arrival streams.")
 	fmt.Println("Note how the controlled protocol converts receiver-side (late) losses into")
 	fmt.Println("cheaper sender-side discards: the channel only carries reports that will")
 	fmt.Println("still be fresh on arrival (policy element 4).")

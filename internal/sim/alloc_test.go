@@ -64,58 +64,36 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMultiStepZeroAlloc extends the contract to the shared-state
-// multi-station fast path: once the Bank's epoch buffers, the pending
-// multiset and the resolver scratch have reached their working sizes, a
-// step (one protocol slot, including the sampled lockstep check, or one
-// run of idle slots) allocates nothing.  Lockstep shadows make the engine
-// refuse idle runs, so the lockstep-off subtest is the one that pins the
-// run path.
+// TestMultiStepZeroAlloc extends the contract to the multi-station
+// shared path, the global engine fed by the station bank: once the
+// Bank's epoch buffers, the pending queue and the resolver scratch have
+// reached their working sizes, a step (one decision epoch, or one run of
+// idle slots) allocates nothing.  The shared path has no lockstep check,
+// so it takes idle runs, and the measurement must include some.
 func TestMultiStepZeroAlloc(t *testing.T) {
-	for _, q := range []struct {
-		name     string
-		lockstep bool
-	}{
-		{"lockstep", true},
-		{"nolockstep", false},
-	} {
-		t.Run(q.name, func(t *testing.T) {
-			cfg := MultiConfig{
-				Config:         allocConfig,
-				Stations:       64,
-				VerifyLockstep: q.lockstep,
+	t.Run("nolockstep", func(t *testing.T) {
+		cfg := MultiConfig{Config: allocConfig, Stations: 64}
+		g := newShared(t, cfg)
+		step := func() {
+			if g.now >= cfg.EndTime {
+				t.Fatal("run ended")
 			}
-			m, err := newMultiState(cfg)
-			if err != nil {
+			if err := g.step(); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 200000; i++ {
-				if m.now >= cfg.EndTime {
-					t.Fatal("run ended during warmup")
-				}
-				m.step()
-				if m.runErr != nil {
-					t.Fatal(m.runErr)
-				}
-			}
-			runs := m.idleRuns
-			avg := testing.AllocsPerRun(100000, func() {
-				if m.now >= cfg.EndTime {
-					t.Fatal("run ended during measurement")
-				}
-				m.step()
-				if m.runErr != nil {
-					t.Fatal(m.runErr)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state multi slot allocates %v times per run; the decision-epoch hot path must be allocation-free", avg)
-			}
-			if took := m.idleRuns > runs; took == q.lockstep {
-				t.Fatalf("idle runs taken during the measurement: %v, want %v", took, !q.lockstep)
-			}
-		})
-	}
+		}
+		for i := 0; i < 200000; i++ {
+			step()
+		}
+		runs := g.idleRuns
+		avg := testing.AllocsPerRun(100000, step)
+		if avg != 0 {
+			t.Fatalf("steady-state multi step allocates %v times per run; the decision-epoch hot path must be allocation-free", avg)
+		}
+		if g.idleRuns == runs {
+			t.Fatal("no idle run taken during the measurement")
+		}
+	})
 }
 
 // TestGlobalStepZeroAllocNoFastForward pins the probe-by-probe idle path

@@ -67,7 +67,7 @@ func TestFaultConservationMultiStation(t *testing.T) {
 				sm := collectorFor(cfg)
 				cfg.Collector = sm
 				_, err := RunMultiStation(MultiConfig{
-					Config: cfg, Stations: 3, VerifyLockstep: !perStation,
+					Config: cfg, Stations: 3,
 				})
 				if err != nil {
 					t.Fatalf("instrumented faulty run failed: %v", err)
@@ -135,11 +135,11 @@ func TestFaultZeroRateBitIdentical(t *testing.T) {
 		t.Fatalf("global: zero-rate fault config changed the run:\n%v\n%v", ga, gb)
 	}
 
-	ma, err := RunMultiStation(MultiConfig{Config: base, Stations: 3, VerifyLockstep: true})
+	ma, err := RunMultiStation(MultiConfig{Config: base, Stations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := RunMultiStation(MultiConfig{Config: faulty, Stations: 3, VerifyLockstep: true})
+	mb, err := RunMultiStation(MultiConfig{Config: faulty, Stations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package sim
 
-// Cross-engine oracle for the multi-station simulator: the shared-state
-// fast path (multiState) must reproduce the per-station reference engine
-// (denseState) bit for bit, at any worker count.  Fingerprints reuse the
+// Cross-engine oracle for the multi-station simulator: the shared path
+// (the global engine fed by a station.Bank) must reproduce the
+// per-station reference engine (denseState) bit for bit, at any worker
+// count.  Fingerprints reuse the
 // golden formatter, so "equal" means every report field equal, floats
 // compared by their hex representation.
 
@@ -16,19 +17,21 @@ import (
 	"windowctl/internal/metrics"
 	"windowctl/internal/rngutil"
 	"windowctl/internal/station"
-	"windowctl/internal/window"
 )
 
 // engineCase builds a fresh config per run: policies can carry stateful
 // common-randomness streams, so sharing one config value across runs
 // would let the first run perturb the second.  idle says whether the
-// shared path takes idle runs (multiState.idleRun) on the case.
+// shared path takes idle runs (globalState.fastForwardIdle) on the case.
 type engineCase struct {
 	name string
 	mk   func() MultiConfig
 	idle bool
 }
 
+// The engine cases check lockstep in the reference run at every probe
+// slot and over every station (the shared path has no lockstep check:
+// it keeps one resolver).
 func engineCases() []engineCase {
 	base := func(pol string, seed uint64, stations int) MultiConfig {
 		return MultiConfig{
@@ -43,13 +46,14 @@ func engineCases() []engineCase {
 				Seed:    seed,
 			},
 			Stations:       stations,
-			VerifyLockstep: true,
+			lockstepEvery:  1,
+			lockstepSample: stations,
 		}
 	}
 	return []engineCase{
-		{"controlled", func() MultiConfig { return base("controlled", 2718, 8) }, false},
+		{"controlled", func() MultiConfig { return base("controlled", 2718, 8) }, true},
 		{"random", func() MultiConfig { return base("random", 2719, 8) }, false},
-		{"fcfs", func() MultiConfig { return base("fcfs", 2720, 8) }, false},
+		{"fcfs", func() MultiConfig { return base("fcfs", 2720, 8) }, true},
 		{"faults/common", func() MultiConfig {
 			cfg := base("controlled", 2818, 8)
 			cfg.Faults = goldenFaultMix
@@ -59,35 +63,32 @@ func engineCases() []engineCase {
 			cfg := base("controlled", 3318, 8)
 			cfg.Arrivals = onOffArrivals(8, cfg.Lambda)
 			return cfg
-		}, false},
+		}, true},
 		{"m1000", func() MultiConfig {
 			cfg := base("controlled", 3518, 1000)
 			cfg.Lambda = 0.5 / 25
 			cfg.EndTime = 5000
 			cfg.Warmup = 500
 			return cfg
-		}, false},
+		}, true},
 	}
 }
 
-// idleRunCases reach the shared path's idle runs, which every
-// engineCase refuses because it verifies lockstep: a lockstep-off twin
-// of each engine case (the random and faulted twins still refuse),
-// arrivals exactly on slot times, and light loads at non-integer τ
-// (0.37, 0.1, 3.3) or with an EndTime off the slot grid, where a run's
-// stop rule (slotsBefore) decides whether it keeps the dense engine's
-// slot times.
+// idleRunCases stress the shared path's idle runs: a twin of each engine
+// case whose reference run keeps only the per-station engine's default
+// lockstep check, sampled, and so runs at its everyday cost; arrivals
+// exactly on slot times; and light loads at non-integer τ (0.37, 0.1,
+// 3.3) or with an EndTime off the slot grid, where a run's stop rule
+// (slotsBefore) decides whether it keeps the dense engine's slot times.
 func idleRunCases() []engineCase {
 	var cases []engineCase
 	for _, c := range engineCases() {
 		mk := c.mk
-		cfg := mk()
-		_, random := cfg.Policy.(window.ForkablePolicy)
 		cases = append(cases, engineCase{c.name + "/nolockstep", func() MultiConfig {
 			cfg := mk()
-			cfg.VerifyLockstep = false
+			cfg.lockstepEvery, cfg.lockstepSample = 0, 0
 			return cfg
-		}, !random && !cfg.Faults.Enabled()})
+		}, c.idle})
 	}
 	light := func(name, pol string, seed uint64, tau, rho, end float64) engineCase {
 		return engineCase{name, func() MultiConfig {
@@ -152,18 +153,25 @@ func onGridMulti() MultiConfig {
 // fingerprint and the number of idle runs the engine took.
 func runShared(t *testing.T, cfg MultiConfig) (string, int64) {
 	t.Helper()
+	g := newShared(t, cfg)
+	rep, err := g.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenFingerprint(rep), g.idleRuns
+}
+
+// newShared validates cfg and builds its shared-path engine.
+func newShared(t *testing.T, cfg MultiConfig) *globalState {
+	t.Helper()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMultiState(cfg)
+	g, err := newSharedState(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return goldenFingerprint(rep), m.idleRuns
+	return g
 }
 
 func mustFingerprint(t *testing.T, cfg MultiConfig) string {
@@ -175,10 +183,9 @@ func mustFingerprint(t *testing.T, cfg MultiConfig) string {
 	return goldenFingerprint(rep)
 }
 
-// TestMultiSharedMatchesDense pins the fast path to the reference engine,
-// on the idle-run path too, collector included where one is attached.
-// Turning lockstep verification on or off must not move the shared
-// report: it only adds shadows, and they make the engine refuse runs.
+// TestMultiSharedMatchesDense pins the shared path to the reference
+// engine, on the idle-run path too, collector included where one is
+// attached.
 func TestMultiSharedMatchesDense(t *testing.T) {
 	for _, c := range append(engineCases(), idleRunCases()...) {
 		t.Run(c.name, func(t *testing.T) {
@@ -198,12 +205,6 @@ func TestMultiSharedMatchesDense(t *testing.T) {
 			}
 			if !reflect.DeepEqual(col, denseCol) {
 				t.Errorf("dense engine's collector diverged from the shared path's:\nshared: %+v\ndense:  %+v", col.Snapshot(), denseCol.Snapshot())
-			}
-			flip := c.mk()
-			flip.VerifyLockstep = !flip.VerifyLockstep
-			if got, _ := runShared(t, flip); got != shared {
-				t.Errorf("VerifyLockstep=%v moved the shared report:\n%v: %s\n%v: %s",
-					flip.VerifyLockstep, !flip.VerifyLockstep, shared, flip.VerifyLockstep, got)
 			}
 		})
 	}
@@ -233,30 +234,21 @@ func TestMultiWorkersBitIdentical(t *testing.T) {
 }
 
 // TestMultiLockstepCatchesInjectedDesync corrupts one verified state
-// machine's feedback mid-run and requires the sampled lockstep check to
-// fail the run — on both engines.  This is the probe that keeps the
-// sampled check honest: cheaper than the old every-slot/every-station
+// machine's feedback mid-run in the per-station engine and requires its
+// sampled lockstep check to fail the run.  This is the probe that keeps
+// the sampled check honest: cheaper than an every-slot/every-station
 // scan, but still a real detector.
 func TestMultiLockstepCatchesInjectedDesync(t *testing.T) {
-	for _, dense := range []struct {
-		name  string
-		force bool
-		every int
-	}{
-		{"shared", false, 0}, // default period; process-end compare catches it
-		{"dense", true, 1},
-	} {
-		t.Run(dense.name, func(t *testing.T) {
-			cfg := engineCases()[0].mk()
-			cfg.forceDense = dense.force
-			cfg.LockstepEvery = dense.every
-			cfg.lockstepFaultAt = 97
-			_, err := RunMultiStation(cfg)
-			if err == nil || !strings.Contains(err.Error(), "lockstep") {
-				t.Fatalf("injected desync not detected; err = %v", err)
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		cfg := engineCases()[0].mk()
+		cfg.forceDense = true
+		cfg.lockstepSample = 0
+		cfg.lockstepFaultAt = 97
+		_, err := RunMultiStation(cfg)
+		if err == nil || !strings.Contains(err.Error(), "lockstep") {
+			t.Fatalf("injected desync not detected; err = %v", err)
+		}
+	})
 }
 
 // TestMultiLockstepCleanRun double-checks the detector's false-positive
@@ -264,8 +256,9 @@ func TestMultiLockstepCatchesInjectedDesync(t *testing.T) {
 // even with an aggressive period and a full-population sample.
 func TestMultiLockstepCleanRun(t *testing.T) {
 	cfg := engineCases()[1].mk() // random policy: common-randomness forks
-	cfg.LockstepEvery = 1
-	cfg.LockstepSample = cfg.Stations
+	cfg.forceDense = true
+	cfg.lockstepEvery = 1
+	cfg.lockstepSample = cfg.Stations
 	if _, err := RunMultiStation(cfg); err != nil {
 		t.Fatal(err)
 	}

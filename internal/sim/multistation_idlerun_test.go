@@ -1,13 +1,15 @@
 package sim
 
-// Regression tests for the shared path's idle runs (multiState.idleRun).
-// Each failure message names the wrong output the bug would produce;
-// the path taken is read from the engine's unexported run count.
+// Regression tests for the shared path's idle runs
+// (globalState.fastForwardIdle fed by the station bank).  Each failure
+// message names the wrong output the bug would produce; the path taken
+// is read from the engine's unexported run count.
 
 import (
 	"strings"
 	"testing"
 
+	"windowctl/internal/metrics"
 	"windowctl/internal/protocol/tournament"
 )
 
@@ -40,8 +42,6 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 		name, wrong string
 		tweak       func(*MultiConfig)
 	}{
-		{"lockstep", "the shadows would miss the run's idle feedback and the sampled check would compare stale state",
-			func(c *MultiConfig) { c.VerifyLockstep = true }},
 		{"faults/common", "a faulted idle probe would be skipped, so the fault schedule and the report would drift from the dense engine",
 			func(c *MultiConfig) { c.Faults = goldenFaultMix }},
 		{"random", "the policy's common random stream would skip the draws of the run's windows",
@@ -59,36 +59,29 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 	}
 
 	t.Run("backlog", func(t *testing.T) {
-		m := stepLight(t, lightMulti(1), func(m *multiState, now float64, runSlots int64) {
-			if runSlots > 0 && m.bank.Len() != 0 {
+		g := stepLight(t, lightMulti(1), func(g *globalState, now float64, runSlots int64) {
+			if runSlots > 0 && g.pending.Len() != 0 {
 				t.Fatalf("idle run taken at t=%v with %d messages pending: the run books their probe idle, and they wait past it instead of being transmitted",
-					now, m.bank.Len())
+					now, g.pending.Len())
 			}
 		})
-		if m.idleRuns == 0 {
+		if g.idleRuns == 0 {
 			t.Fatal("no idle run taken")
 		}
 	})
 
 	t.Run("desync", func(t *testing.T) {
-		// TestMultiLockstepCatchesInjectedDesync's shared run: with
-		// shadows no run is taken, so the corrupted probe 97 is still
-		// fed to the shadow and the check fails at that very slot.
+		// The lockstep check lives in the per-station engine, which
+		// runs every slot: at the default period its process-end
+		// comparison still sees the corrupted probe 97 at that very
+		// slot.
 		cfg := engineCases()[0].mk()
+		cfg.forceDense = true
+		cfg.lockstepEvery, cfg.lockstepSample = 0, 0
 		cfg.lockstepFaultAt = 97
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
-		m, err := newMultiState(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = m.run()
+		_, err := RunMultiStation(cfg)
 		if err == nil || !strings.Contains(err.Error(), "at probe slot 97 ") {
 			t.Fatalf("injected desync at probe slot 97 reported as %v; want the lockstep failure at probe slot 97", err)
-		}
-		if m.idleRuns != 0 {
-			t.Errorf("took %d idle runs with lockstep shadows", m.idleRuns)
 		}
 	})
 
@@ -112,7 +105,7 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 			var last float64 // its last slot
 			var next float64 // the slot after it
 			var nextArr float64
-			stepLight(t, cfg, func(m *multiState, now float64, runSlots int64) {
+			stepLight(t, cfg, func(g *globalState, now float64, runSlots int64) {
 				if pending {
 					pending = false
 					if now != next {
@@ -132,12 +125,12 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 				}
 				// The run's slot times, by the clock formula anchor + k·τ:
 				// an idle run leaves the anchor where it was.
-				if first := m.anchor + float64(m.k-runSlots)*cfg.Tau; first != now {
+				if first := g.anchor + float64(g.k-runSlots)*cfg.Tau; first != now {
 					t.Fatalf("a run taken at %v started at %v", now, first)
 				}
-				last = m.anchor + float64(m.k-1)*cfg.Tau
-				next = m.anchor + float64(m.k)*cfg.Tau
-				nextArr = m.bank.NextArrivalAt()
+				last = g.anchor + float64(g.k-1)*cfg.Tau
+				next = g.anchor + float64(g.k)*cfg.Tau
+				nextArr = g.nextArr
 				if last >= nextArr {
 					t.Fatalf("run booked the slot at %v idle, but slot-by-slot execution materializes the arrival at %v by then, and that slot probes a non-empty backlog", last, nextArr)
 				}
@@ -153,31 +146,59 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 	}
 }
 
-// stepLight drives cfg's shared engine one step at a time to EndTime,
-// calling after with the time of the step and the number of slots of the
-// idle run it took (0 if it took none).  The last call is the end-of-run
-// step at the first slot time >= EndTime, where the engine runs no slot.
-func stepLight(t *testing.T, cfg MultiConfig, after func(m *multiState, now float64, runSlots int64)) *multiState {
+// stepLight drives cfg's shared engine one decision epoch at a time to
+// EndTime, calling after with the time of the step and the number of
+// slots of the idle run it took (0 if it took none).  The last call is
+// the end-of-run step at the first slot time >= EndTime, where the engine
+// runs no slot.
+func stepLight(t *testing.T, cfg MultiConfig, after func(g *globalState, now float64, runSlots int64)) *globalState {
 	t.Helper()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := newMultiState(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m.now < cfg.EndTime {
-		now, runs, probes := m.now, m.idleRuns, m.probeSlots
-		m.step()
-		if m.runErr != nil {
-			t.Fatal(m.runErr)
+	g := newShared(t, cfg)
+	for g.now < cfg.EndTime {
+		now, runs, k := g.now, g.idleRuns, g.k
+		if err := g.step(); err != nil {
+			t.Fatal(err)
 		}
 		var runSlots int64
-		if m.idleRuns != runs {
-			runSlots = m.probeSlots - probes
+		if g.idleRuns != runs {
+			runSlots = g.k - k // an idle run leaves the anchor where it was
 		}
-		after(m, now, runSlots)
+		after(g, now, runSlots)
 	}
-	after(m, m.now, 0)
-	return m
+	after(g, g.now, 0)
+	return g
+}
+
+// TestMultiBooksStartupSlot runs the light multi-station case, whose
+// EndTime 20000.5 ends the run on an idle run, on both engines with a
+// collector.  Slot by slot the channel is busy for every slot of the
+// clock, the start-up corner slot included, in which nothing is
+// unexamined yet and no probe runs; the collector must account for all
+// of it, as RunGlobal's does.  An engine that ticks the corner slot
+// without booking it reads collector time 20000 against a clock of 20001.
+func TestMultiBooksStartupSlot(t *testing.T) {
+	const want = 20001.0
+	elapsed := func(c *metrics.SlotMetrics) float64 { return c.IdleTime + c.BusyTime + c.CollisionTime }
+
+	cfg := lightMulti(1)
+	col := metrics.NewSlotMetrics(cfg.Tau, 64)
+	cfg.Collector = col
+	g := newShared(t, cfg)
+	if _, err := g.run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := elapsed(col); got != want || g.now != want {
+		t.Errorf("shared path: collector time %v and clock %v, want %v each", got, g.now, want)
+	}
+
+	dense := lightMulti(1)
+	denseCol := metrics.NewSlotMetrics(dense.Tau, 64)
+	dense.Collector = denseCol
+	dense.forceDense = true
+	if _, err := RunMultiStation(dense); err != nil {
+		t.Fatal(err)
+	}
+	if got := elapsed(denseCol); got != want {
+		t.Errorf("per-station engine: collector time %v, want the clock's %v", got, want)
+	}
 }

@@ -71,9 +71,8 @@ func TestDenseShardedBitIdentical(t *testing.T) {
 				},
 				Stations:       n,
 				Workers:        workers,
-				VerifyLockstep: true,
-				LockstepEvery:  1,
-				LockstepSample: n,
+				lockstepEvery:  1,
+				lockstepSample: n,
 			}
 			if faults {
 				cfg.Faults = goldenFaultMix

@@ -146,7 +146,7 @@ func TestProtocolConservationMatrix(t *testing.T) {
 }
 
 // TestProtocolMultiStation runs every zoo protocol through the
-// distributed engine with lockstep verification: per-station replicas
+// per-station engine, which verifies lockstep: per-station replicas
 // (forked where the protocol is randomized) must make identical
 // decisions, and the instrumented run must conserve.
 func TestProtocolMultiStation(t *testing.T) {
@@ -161,8 +161,8 @@ func TestProtocolMultiStation(t *testing.T) {
 					Tau:      1, M: 25, Lambda: 0.6 / 25, K: 50,
 					EndTime: 10000, Warmup: 1000, Seed: 777,
 				},
-				Stations:       6,
-				VerifyLockstep: true,
+				Stations:   6,
+				forceDense: true,
 			}
 			sm := collectorFor(cfg.Config)
 			cfg.Collector = sm

@@ -5,29 +5,27 @@ import (
 	"math"
 	"sync"
 
-	"windowctl/internal/metrics"
-	"windowctl/internal/pendq"
 	"windowctl/internal/rngutil"
-	"windowctl/internal/window"
 )
 
 // Bank is a whole station population in struct-of-arrays form: flat,
-// index-parallel slices of per-station arrival state plus one shared
-// pending multiset, in place of a slice of Station objects.
+// index-parallel slices of per-station arrival state, in place of a slice
+// of Station objects.
 //
-// The multi-station engine's fast path exploits the protocol's symmetry:
-// under common channel feedback every station's resolver and tracker pass
-// through identical states, so the only thing distinguishing station i
-// from station j is its private arrival stream.  The Bank therefore keeps
-// exactly that — one xoshiro stream, one next-arrival time and (when
-// sources are heterogeneous) one ArrivalProcess per station — and merges
-// the M streams into a single global arrival order in epochs.  An epoch
-// is one pass over the stations in index order that draws every arrival
-// before the epoch's end, each station's gaps drawn back to back from its
-// own stream, followed by a counting sort of the drawn arrivals into
-// (time, station) order.  Materialized arrivals land in one shared
-// pendq.Queue keyed by arrival time, whose Fenwick machinery answers the
-// per-slot window queries in O(log backlog) independent of M.
+// The multi-station engine's shared path exploits the protocol's
+// symmetry: under common channel feedback every station's resolver and
+// tracker pass through identical states, so the network evolves as one
+// pending queue plus one resolver, and the only thing distinguishing
+// station i from station j is its private arrival stream.  The Bank
+// therefore keeps exactly that — one xoshiro stream, one next-arrival
+// time and (when sources are heterogeneous) one ArrivalProcess per
+// station — and merges the M streams into a single global arrival order
+// in epochs, which Next hands out one arrival at a time.  An epoch is one
+// pass over the stations in index order that draws every arrival before
+// the epoch's end, each station's gaps drawn back to back from its own
+// stream, followed by a counting sort of the drawn arrivals into
+// (time, station) order.  The engine queues what it takes in its own
+// pending set.
 //
 // Per-station memory is 56 bytes (stream 48, nextAt 8), so a million
 // stations fit in ~56 MB with zero per-station allocations.  The epoch
@@ -43,17 +41,13 @@ import (
 // workers bit-identically; it is also how the Bank reproduces the legacy
 // one-object-per-station engine draw for draw.
 type Bank struct {
-	n       int
 	rate    float64          // uniform Poisson rate, used when procs is nil
 	procs   []ArrivalProcess // per-station sources; nil for uniform Poisson
 	streams []rngutil.Stream
-	nextAt  []float64          // first arrival per station not yet drawn into an epoch
-	pending pendq.Queue[int32] // origin station per pending message, keyed by arrival
-	created int64
-	col     metrics.Collector
+	nextAt  []float64 // first arrival per station not yet drawn into an epoch
 
 	// The current epoch: ep holds every arrival drawn so far in
-	// (time, station) order, and ep[pos:] are not yet materialized.
+	// (time, station) order, and ep[pos:] are not yet taken.
 	// minNext, the minimum nextAt, lies past all of them; the next epoch
 	// starts there.  span is the next epoch's width, aimed at target
 	// arrivals; target doubles per epoch up to maxTarget.
@@ -65,11 +59,6 @@ type Bank struct {
 	maxTarget  int
 	drawn      []arrival // the epoch pass's output, in station order
 	bucketNext []int32   // counting-sort bucket offsets
-
-	// discardFn/discardAdapter relay pendq discard callbacks without a
-	// per-call closure: the adapter is bound once, the target swaps.
-	discardFn      func(arrival float64)
-	discardAdapter func(key float64, item int32)
 }
 
 // arrival is one drawn arrival of an epoch.
@@ -101,7 +90,6 @@ func NewBank(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess
 		return nil, fmt.Errorf("station: %d stations exceed the int32 index space", n)
 	}
 	b := &Bank{
-		n:         n,
 		rate:      rate,
 		streams:   make([]rngutil.Stream, n),
 		nextAt:    make([]float64, n),
@@ -167,7 +155,6 @@ func NewBank(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess
 	if finite > 0 {
 		b.span = float64(b.target) * sum / float64(finite) / float64(finite)
 	}
-	b.discardAdapter = func(key float64, _ int32) { b.discardFn(key) }
 	return b, nil
 }
 
@@ -264,87 +251,16 @@ func (b *Bank) nextEpoch() bool {
 	return true
 }
 
-// Stations returns the population size.
-func (b *Bank) Stations() int { return b.n }
-
-// Observe attaches a metrics collector for arrival and discard events.
-func (b *Bank) Observe(c metrics.Collector) { b.col = c }
-
-// GenerateUntil materializes every arrival across the population with
-// time <= t into the shared pending set, in global (time, station)
-// order, and returns how many were added.  A materialized arrival costs
-// O(1) amortized: its share of one epoch's pass over the M stations,
-// about M/target station checks, and of the epoch's counting sort.
-// Arrivals are drawn ahead of t up to the current epoch's end, in
-// station order; a call that finds nothing due costs O(1).  When every
-// station has gone silent, it returns at once.
-func (b *Bank) GenerateUntil(t float64) int {
-	added := 0
-	for {
-		if b.pos == len(b.ep) && (t < b.minNext || !b.nextEpoch()) {
-			break
-		}
-		a := b.ep[b.pos]
-		if a.at > t {
-			break
-		}
-		b.pending.Push(a.at, a.s)
-		b.pos++
-		added++
-	}
-	b.created += int64(added)
-	if added > 0 && b.col != nil {
-		b.col.RecordArrivals(int64(added))
-	}
-	return added
-}
-
-// NextArrivalAt returns the time of the population's next
-// not-yet-materialized arrival, +Inf when every station has gone silent.
-func (b *Bank) NextArrivalAt() float64 {
+// Next removes the population's next arrival and returns its time and
+// origin station, in global (time, station) order; once every station
+// has gone silent it returns (+Inf, -1).  An arrival costs O(1)
+// amortized: its share of one epoch's pass over the M stations, about
+// M/target station checks, and of the epoch's counting sort.
+func (b *Bank) Next() (at float64, origin int32) {
 	if b.pos == len(b.ep) && !b.nextEpoch() {
-		return math.Inf(1)
+		return math.Inf(1), -1
 	}
-	return b.ep[b.pos].at
-}
-
-// Len returns the number of pending messages across all stations.
-func (b *Bank) Len() int { return b.pending.Len() }
-
-// Created returns the total number of messages generated so far.
-func (b *Bank) Created() int64 { return b.created }
-
-// CountIn returns how many pending messages arrived inside w.
-func (b *Bank) CountIn(w window.Window) int {
-	return b.pending.CountIn(w.Start, w.End)
-}
-
-// PopOldestIn removes the oldest pending message inside w, returning its
-// arrival time and origin station.
-func (b *Bank) PopOldestIn(w window.Window) (arrival float64, origin int32, ok bool) {
-	return b.pending.PopFirstIn(w.Start, w.End)
-}
-
-// DiscardBelowFunc removes every pending message with arrival time
-// strictly below the horizon (policy element (4)), calling fn (if
-// non-nil) on each arrival time in order, and returns how many were
-// dropped.
-func (b *Bank) DiscardBelowFunc(horizon float64, fn func(arrival float64)) int {
-	var n int
-	if fn == nil {
-		n = b.pending.DiscardBelow(horizon, nil)
-	} else {
-		b.discardFn = fn
-		n = b.pending.DiscardBelow(horizon, b.discardAdapter)
-		b.discardFn = nil
-	}
-	if n > 0 && b.col != nil {
-		b.col.RecordDiscards(int64(n))
-	}
-	return n
-}
-
-// ForEach calls fn on every pending message in arrival order.
-func (b *Bank) ForEach(fn func(arrival float64, origin int32)) {
-	b.pending.ForEach(fn)
+	a := b.ep[b.pos]
+	b.pos++
+	return a.at, a.s
 }

@@ -50,33 +50,50 @@ func referenceArrivals(n int, seed uint64, rate float64, arrivals func(int) Arri
 	return all
 }
 
+// taker takes a bank's arrivals the way the engine does: it holds the
+// next one and takes arrivals up to a time in bursts.
+type taker struct {
+	b    *Bank
+	next refArrival
+	got  []refArrival
+}
+
+func newTaker(b *Bank) *taker {
+	tk := &taker{b: b}
+	tk.advance()
+	return tk
+}
+
+func (tk *taker) advance() {
+	at, origin := tk.b.Next()
+	tk.next = refArrival{at: at, origin: int(origin)}
+}
+
+// until takes every arrival with time <= at and returns how many.
+func (tk *taker) until(at float64) int {
+	n := 0
+	for tk.next.at <= at {
+		tk.got = append(tk.got, tk.next)
+		tk.advance()
+		n++
+	}
+	return n
+}
+
 func bankArrivals(t *testing.T, n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess, workers int, until float64) []refArrival {
 	t.Helper()
 	b, err := NewBank(n, seed, rate, arrivals, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Generate in bursts so the due/not-due boundary logic is exercised,
-	// not just one final sweep.
+	// Take in bursts so the due/not-due boundary logic is exercised, not
+	// just one final sweep.
+	tk := newTaker(b)
 	for at := until / 8; at < until; at += until / 8 {
-		b.GenerateUntil(at)
+		tk.until(at)
 	}
-	b.GenerateUntil(until)
-	return pendingArrivals(t, b)
-}
-
-// pendingArrivals lists b's pending set in order and checks it against
-// the bank's counters.
-func pendingArrivals(t *testing.T, b *Bank) []refArrival {
-	t.Helper()
-	var all []refArrival
-	b.ForEach(func(at float64, origin int32) {
-		all = append(all, refArrival{at: at, origin: int(origin)})
-	})
-	if b.Len() != len(all) || int(b.Created()) != len(all) {
-		t.Fatalf("bookkeeping mismatch: Len=%d Created=%d ForEach=%d", b.Len(), b.Created(), len(all))
-	}
-	return all
+	tk.until(until)
+	return tk.got
 }
 
 func sameArrivals(t *testing.T, got, want []refArrival) {
@@ -144,11 +161,11 @@ func TestBankMatchesStationsTies(t *testing.T) {
 	sameArrivals(t, got, want)
 }
 
-// TestBankMatchesStationsEpochs generates across the epoch size's
+// TestBankMatchesStationsEpochs takes arrivals across the epoch size's
 // doubling and several capped epochs in uneven bursts, some of which stop
 // exactly where one epoch ends and the next begins: on the current
 // epoch's last drawn arrival, then on the next epoch's first.  After every
-// burst the bank must have created exactly the reference arrivals due.
+// burst exactly the reference arrivals due must have been taken.
 // The dense population doubles its epoch from 64 to 1024 arrivals and
 // draws from every station in every epoch; in the sparse one an epoch
 // touches about one station in eight.
@@ -169,13 +186,14 @@ func TestBankMatchesStationsEpochs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tk := newTaker(b)
 			var epochs, capped, boundaries int
 			prev := b.minNext
 			stop := func(at float64) {
-				b.GenerateUntil(at)
+				tk.until(at)
 				due := sort.Search(len(want), func(i int) bool { return want[i].at > at })
-				if got := b.Created(); got != int64(due) {
-					t.Fatalf("Created() = %d after GenerateUntil(%v), want %d", got, at, due)
+				if got := len(tk.got); got != due {
+					t.Fatalf("took %d arrivals up to %v, want %d", got, at, due)
 				}
 				if b.minNext != prev {
 					prev = b.minNext
@@ -193,9 +211,12 @@ func TestBankMatchesStationsEpochs(t *testing.T) {
 				if step < 40 || b.pos == len(b.ep) {
 					continue
 				}
+				// The taker holds one arrival of the current epoch, so
+				// stopping on its last one leaves it holding the next
+				// epoch's first.
 				if last := b.ep[len(b.ep)-1].at; last <= c.until && b.minNext <= c.until {
 					stop(last)
-					at = b.minNext
+					at = tk.next.at
 					stop(at)
 					boundaries++
 				}
@@ -204,7 +225,7 @@ func TestBankMatchesStationsEpochs(t *testing.T) {
 				t.Fatalf("epochs = %d, capped = %d, boundary stops = %d, want >= 2 of each of the last two; the case is vacuous",
 					epochs, capped, boundaries)
 			}
-			sameArrivals(t, pendingArrivals(t, b), want)
+			sameArrivals(t, tk.got, want)
 		})
 	}
 }
@@ -227,8 +248,7 @@ func (s *silentAfter) String() string { return "silent-after" }
 
 // TestBankMatchesStationsSilent runs a population in which one station
 // goes silent among Poisson ones, then one in which every station does:
-// GenerateUntil must return once all are silent, and NextArrivalAt must
-// then say +Inf.
+// taking must stop once all are silent, and Next must then say +Inf.
 func TestBankMatchesStationsSilent(t *testing.T) {
 	const seed, until = 67, 5000.0
 	cases := []struct {
@@ -257,14 +277,15 @@ func TestBankMatchesStationsSilent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := b.GenerateUntil(math.MaxFloat64); got != len(want) {
-				t.Fatalf("GenerateUntil(MaxFloat64) = %d, want %d", got, len(want))
+			tk := newTaker(b)
+			if got := tk.until(math.MaxFloat64); got != len(want) {
+				t.Fatalf("took %d arrivals up to MaxFloat64, want %d", got, len(want))
 			}
-			if got := b.NextArrivalAt(); !math.IsInf(got, 1) {
-				t.Fatalf("NextArrivalAt() = %v, want +Inf", got)
+			if !math.IsInf(tk.next.at, 1) || tk.next.origin != -1 {
+				t.Fatalf("next arrival once silent = %+v, want +Inf from station -1", tk.next)
 			}
-			if got := b.GenerateUntil(math.Inf(1)); got != 0 {
-				t.Fatalf("GenerateUntil(+Inf) = %d once silent, want 0", got)
+			if at, origin := b.Next(); !math.IsInf(at, 1) || origin != -1 {
+				t.Fatalf("Next() = (%v, %d) again once silent, want (+Inf, -1)", at, origin)
 			}
 		})
 	}
@@ -281,59 +302,6 @@ func TestBankWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBankWindowOps exercises the shared multiset against a sorted-slice
-// model: counting, oldest-in-window extraction and horizon discards.
-func TestBankWindowOps(t *testing.T) {
-	const n, seed, until = 10, 53, 5000.0
-	b, err := NewBank(n, seed, 0.02, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.GenerateUntil(until)
-	var model []refArrival
-	b.ForEach(func(at float64, origin int32) {
-		model = append(model, refArrival{at: at, origin: int(origin)})
-	})
-	if len(model) < 20 {
-		t.Fatalf("want a rich backlog, got %d arrivals", len(model))
-	}
-
-	w := window.Window{Start: model[3].at, End: model[len(model)/2].at}
-	wantIn := 0
-	for _, m := range model {
-		if m.at >= w.Start && m.at < w.End {
-			wantIn++
-		}
-	}
-	if got := b.CountIn(w); got != wantIn {
-		t.Fatalf("CountIn(%v) = %d, want %d", w, got, wantIn)
-	}
-
-	at, origin, ok := b.PopOldestIn(w)
-	if !ok || at != model[3].at || int(origin) != model[3].origin {
-		t.Fatalf("PopOldestIn(%v) = (%v, %d, %v), want (%v, %d, true)",
-			w, at, origin, ok, model[3].at, model[3].origin)
-	}
-	if got := b.CountIn(w); got != wantIn-1 {
-		t.Fatalf("CountIn after pop = %d, want %d", got, wantIn-1)
-	}
-
-	horizon := model[6].at
-	wantDrop, seen := 0, 0
-	for i, m := range model {
-		if i != 3 && m.at < horizon {
-			wantDrop++
-		}
-	}
-	dropped := b.DiscardBelowFunc(horizon, func(float64) { seen++ })
-	if dropped != wantDrop || seen != wantDrop {
-		t.Fatalf("DiscardBelowFunc dropped %d (callback %d), want %d", dropped, seen, wantDrop)
-	}
-	if b.Len() != len(model)-1-wantDrop {
-		t.Fatalf("Len after discard = %d, want %d", b.Len(), len(model)-1-wantDrop)
-	}
-}
-
 func TestBankRejectsBadInput(t *testing.T) {
 	if _, err := NewBank(0, 1, 1, nil, 1); err == nil {
 		t.Fatal("zero stations accepted")
@@ -344,8 +312,8 @@ func TestBankRejectsBadInput(t *testing.T) {
 }
 
 // TestBankGenerateZeroAlloc pins the epoch buffers' reuse: once the
-// epoch size has reached its cap, generating and peeking across several
-// epoch refills allocates nothing.
+// epoch size has reached its cap, taking arrivals across several epoch
+// refills allocates nothing.
 func TestBankGenerateZeroAlloc(t *testing.T) {
 	const n, rate = 1 << 16, 1e-4 // a capped epoch spans about 310 slots
 	b, err := NewBank(n, 71, rate, nil, 1)
@@ -353,11 +321,12 @@ func TestBankGenerateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := 0.0
+	next, _ := b.Next()
 	step := func() {
 		now++
-		b.GenerateUntil(now)
-		b.NextArrivalAt()
-		b.DiscardBelowFunc(now, nil)
+		for next <= now {
+			next, _ = b.Next()
+		}
 	}
 	// Warm up through the doubling and one capped epoch.
 	for b.target < b.maxTarget {
