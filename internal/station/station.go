@@ -152,9 +152,6 @@ func (s *Station) GenerateUntil(t float64) int {
 	return added
 }
 
-// NextArrivalAt returns the time of the next not-yet-materialized arrival.
-func (s *Station) NextArrivalAt() float64 { return s.nextAt }
-
 // QueueLen returns the number of pending messages.
 func (s *Station) QueueLen() int { return s.queue.Len() }
 
