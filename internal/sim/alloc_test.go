@@ -65,14 +65,15 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 }
 
 // TestMultiStepZeroAlloc extends the contract to the multi-station
-// shared path, the global engine fed by the station bank: once the
-// Bank's epoch buffers, the pending queue and the resolver scratch have
-// reached their working sizes, a step (one decision epoch, or one run of
-// idle slots) allocates nothing.  The shared path has no lockstep check,
-// so it takes idle runs, and the measurement must include some.
+// shared path fed by the station bank (on/off stations; Poisson ones
+// make it the global engine above): once the Bank's epoch buffers, the
+// pending queue and the resolver scratch have reached their working
+// sizes, a step (one decision epoch, or one run of idle slots) allocates
+// nothing.  The shared path has no lockstep check, so it takes idle
+// runs, and the measurement must include some.
 func TestMultiStepZeroAlloc(t *testing.T) {
 	t.Run("nolockstep", func(t *testing.T) {
-		cfg := MultiConfig{Config: allocConfig, Stations: 64}
+		cfg := MultiConfig{Config: allocConfig, Stations: 64, Arrivals: onOffArrivals(64, allocConfig.Lambda)}
 		g := newShared(t, cfg)
 		step := func() {
 			if g.now >= cfg.EndTime {

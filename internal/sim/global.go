@@ -130,9 +130,10 @@ func (c Config) RhoPrime() float64 { return c.Lambda * c.M * c.Tau }
 // feedback, the network evolves exactly like one queue of arrival times
 // plus one Resolver — this simulator exploits that for speed, and the
 // per-station engine (denseState) verifies the equivalence.  Its arrival
-// source is the one seam between its uses: a Poisson gap stream
-// (RunGlobal), a station.Bank merge of per-station streams
-// (RunMultiStation's shared path), or nothing but what a Stepper injects.
+// source (arrivalStream) is the one seam between its uses: the Poisson
+// gap stream (RunGlobal, and RunMultiStation with Poisson stations), a
+// station.Bank merge of non-Poisson per-station streams, or nothing but
+// what a Stepper injects.
 //
 // Most processes never reach the Resolver: under perfect feedback a
 // process whose splits all enable one side is decided from the two
@@ -154,8 +155,7 @@ type globalState struct {
 	fo        metrics.FaultObserver
 	slotIdx   int64             // probe-slot counter indexing the fault schedule
 	pending   pendq.Queue[bool] // key: arrival time; item: measured flag
-	bank      *station.Bank     // the arrival source when non-nil, else the Poisson gaps
-	nextArr   float64           // the next arrival not yet materialized
+	arr       arrivalStream
 	rep       Report
 
 	// res is the recycled windowing-process state machine; discardFn and
@@ -218,7 +218,6 @@ func buildGlobalState(cfg Config, bank *station.Bank) (*globalState, error) {
 		ch:        channel.New(cfg.Tau, cfg.M*cfg.Tau),
 		col:       metrics.OrNop(cfg.Collector),
 		fo:        metrics.FaultObserverOrNop(cfg.Collector),
-		bank:      bank,
 	}
 	g.ch.Observe(cfg.Collector)
 	if cfg.Faults.Enabled() {
@@ -229,13 +228,11 @@ func buildGlobalState(cfg Config, bank *station.Bank) (*globalState, error) {
 		g.inj = inj
 	}
 	g.rep.WaitHist = stats.NewHistogram(cfg.Tau, waitHistBins(cfg.K, cfg.Tau))
-	switch {
-	case cfg.ExternalArrivals:
-		g.nextArr = math.Inf(1)
-	case bank != nil:
-		g.nextArr, _ = bank.Next()
-	default:
-		g.nextArr = g.rng.Exp(cfg.Lambda)
+	if cfg.ExternalArrivals {
+		g.arr.at = math.Inf(1)
+	} else {
+		g.arr = arrivalStream{gaps: g.rng, rate: cfg.Lambda, bank: bank}
+		g.arr.advance()
 	}
 	g.discardFn = func(arrival float64, measured bool) {
 		if measured {
@@ -245,6 +242,38 @@ func buildGlobalState(cfg Config, bank *station.Bank) (*globalState, error) {
 	_, random := cfg.Policy.(window.ForkablePolicy)
 	g.descend = g.inj == nil && cfg.RateEstimator == nil && !random
 	return g, nil
+}
+
+// arrivalStream is a batch engine's arrival source: the next arrival not
+// yet materialized, at, and its station, origin.  Poisson traffic is one
+// network-wide stream of Exp(rate) gaps drawn from gaps, RunGlobal's
+// stream: M independent Poisson(λ′/M) stations merge into one Poisson(λ′)
+// stream, and by the colouring theorem marking each arrival with a
+// uniform station drawn from label (when non-nil) splits it back into M
+// independent Poisson(λ′/M) stations.  Any other per-station process
+// comes from a station.Bank merge, which ends at +Inf once it falls
+// silent.  A literal starts at 0; advance moves it to the first arrival.
+type arrivalStream struct {
+	at     float64
+	origin int32
+
+	gaps     *rngutil.Stream
+	rate     float64
+	label    *rngutil.Stream
+	stations int
+	bank     *station.Bank
+}
+
+// advance draws the next arrival.
+func (a *arrivalStream) advance() {
+	if a.bank != nil {
+		a.at, a.origin = a.bank.Next()
+		return
+	}
+	a.at += a.gaps.Exp(a.rate)
+	if a.label != nil {
+		a.origin = int32(a.label.Intn(a.stations))
+	}
 }
 
 // extremeKeys is the engine's window.KeyPair: the two pending arrival
@@ -286,17 +315,12 @@ func (g *globalState) run() (Report, error) {
 // fill materializes arrivals with time <= t.
 func (g *globalState) fill(t float64) {
 	added := int64(0)
-	for g.nextArr <= t {
-		g.pending.Push(g.nextArr, g.cfg.measured(g.nextArr))
-		if g.nextArr >= g.cfg.Warmup {
+	for ; g.arr.at <= t; g.arr.advance() {
+		g.pending.Push(g.arr.at, g.cfg.measured(g.arr.at))
+		if g.arr.at >= g.cfg.Warmup {
 			g.rep.Offered++
 		}
 		added++
-		if g.bank != nil {
-			g.nextArr, _ = g.bank.Next()
-		} else {
-			g.nextArr += g.rng.Exp(g.cfg.Lambda)
-		}
 	}
 	if added > 0 {
 		g.col.RecordArrivals(added)
@@ -532,7 +556,7 @@ func (g *globalState) fastForwardIdle(view window.View) bool {
 	// arrival is an idle single-slot probe.  Probe-by-probe execution runs
 	// a slot only before EndTime, and the slot at or after the arrival
 	// materializes it, so the skip runs the slots before both.
-	skip := g.slotsBefore(math.Min(g.nextArr, g.cfg.EndTime))
+	skip := g.slotsBefore(math.Min(g.arr.at, g.cfg.EndTime))
 	g.tick(skip)
 	g.bookIdle(skip, view.TPast)
 	g.idleRuns++

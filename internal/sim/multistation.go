@@ -17,16 +17,17 @@ type MultiConfig struct {
 	Stations int
 	// Arrivals, when non-nil, supplies each station's arrival process
 	// (e.g. an on/off talkspurt source) instead of the default Poisson
-	// split of Lambda.  Config.Lambda must still give the aggregate mean
-	// rate — it parameterizes the window-length rule.  The factory is
-	// called sequentially in station-index order.  Each station needs a
-	// process instance of its own: the order in which draws interleave
-	// across stations is unspecified, so a process shared by several
-	// stations makes the run depend on it.
+	// split of Lambda; a station.Bank then draws and merges the M
+	// streams.  Config.Lambda must still give the aggregate mean rate —
+	// it parameterizes the window-length rule.  The factory is called
+	// sequentially in station-index order.  Each station needs a process
+	// instance of its own: the order in which draws interleave across
+	// stations is unspecified, so a process shared by several stations
+	// makes the run depend on it.
 	Arrivals func(station int) station.ArrivalProcess
-	// Workers shards station-state initialization and, in the per-station
-	// engine, the O(M) per-slot loops.  <= 0 means GOMAXPROCS.  Reports
-	// are bit-identical at any value.
+	// Workers shards the station bank's initialization (Arrivals only)
+	// and, in the per-station engine, the O(M) per-slot loops.  <= 0
+	// means GOMAXPROCS.  Reports are bit-identical at any value.
 	Workers int
 
 	// forceDense routes the run through the per-station reference engine
@@ -56,11 +57,12 @@ func (cfg *MultiConfig) workerCount() int {
 // measured report.  Under common channel feedback — perfect channels and
 // common-noise faults — every station's Tracker and Resolver pass through
 // identical states, so the network evolves as one pending queue plus one
-// resolver, and only the arrival streams are per-station: the run is the
-// global engine (RunGlobal's, descent and idle skip included) fed by a
-// station.Bank merge of the M private streams, and a windowing process
-// costs a few pending-queue lookups, independent of M.  Per-station
-// feedback faults break that symmetry (stations truly diverge), so that
+// resolver: the run is the global engine's (descent and idle skip
+// included), and a windowing process costs a few pending-queue lookups,
+// independent of M.  With Poisson stations it is RunGlobal on the same
+// Config, the M streams being one Poisson(Lambda) stream; with Arrivals
+// the engine takes a station.Bank merge of the M streams.  Per-station
+// feedback faults break the symmetry (stations truly diverge), so that
 // case runs on the per-station reference engine, which the tests hold
 // the shared path to bit for bit.
 func RunMultiStation(cfg MultiConfig) (Report, error) {
@@ -86,11 +88,11 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 
 // newSharedState builds the shared-path engine for a validated cfg
 // without running it (the tests drive it step by step): the global
-// engine with the station bank as its arrival source.
+// engine, fed by the station bank when cfg has Arrivals.
 func newSharedState(cfg MultiConfig) (*globalState, error) {
-	bank, err := station.NewBank(cfg.Stations, cfg.Seed, cfg.Lambda/float64(cfg.Stations), cfg.Arrivals, cfg.workerCount())
+	bank, err := cfg.bank()
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
 	// The shared policy replica forks exactly like the per-station
 	// replicas of the reference engine, so common-randomness draws match
@@ -99,6 +101,19 @@ func newSharedState(cfg MultiConfig) (*globalState, error) {
 		cfg.Policy = f.Fork()
 	}
 	return buildGlobalState(cfg.Config, bank)
+}
+
+// bank builds the station bank of cfg's Arrivals; it is nil for Poisson
+// stations, which need none.
+func (cfg *MultiConfig) bank() (*station.Bank, error) {
+	if cfg.Arrivals == nil {
+		return nil, nil
+	}
+	bank, err := station.NewBank(cfg.Stations, cfg.Seed, 0, cfg.Arrivals, cfg.workerCount())
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	return bank, nil
 }
 
 // clockStep checks a slot engine's move from the slot at now to the next

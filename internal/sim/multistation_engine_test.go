@@ -1,11 +1,11 @@
 package sim
 
 // Cross-engine oracle for the multi-station simulator: the shared path
-// (the global engine fed by a station.Bank) must reproduce the
-// per-station reference engine (denseState) bit for bit, at any worker
-// count.  Fingerprints reuse the
-// golden formatter, so "equal" means every report field equal, floats
-// compared by their hex representation.
+// (the global engine, fed by a station.Bank for non-Poisson stations)
+// must reproduce the per-station reference engine (denseState) bit for
+// bit, at any worker count, and with Poisson stations it must be
+// RunGlobal.  Fingerprints reuse the golden formatter, so "equal" means
+// every report field equal, floats compared by their hex representation.
 
 import (
 	"fmt"
@@ -207,6 +207,55 @@ func TestMultiSharedMatchesDense(t *testing.T) {
 				t.Errorf("dense engine's collector diverged from the shared path's:\nshared: %+v\ndense:  %+v", col.Snapshot(), denseCol.Snapshot())
 			}
 		})
+	}
+}
+
+// atTau rescales cfg to slot time tau at the same ρ′, K/τ and run
+// length in slots.
+func atTau(cfg MultiConfig, tau float64) MultiConfig {
+	f := tau / cfg.Tau
+	cfg.Tau, cfg.Lambda = tau, cfg.Lambda/f
+	cfg.K, cfg.EndTime, cfg.Warmup = cfg.K*f, cfg.EndTime*f, cfg.Warmup*f
+	return cfg
+}
+
+// TestMultiPoissonIsGlobal pins a Poisson multi-station run to RunGlobal
+// on the same Config, report and collector: M independent Poisson(λ′/M)
+// stations merge into one Poisson(λ′) stream, so the run draws
+// RunGlobal's gap stream.  If it drew one stream per station instead, it
+// would simulate the same law on other arrivals, and on
+// engine case "controlled" at τ = 1 it would lose 0.0539 of 427 messages
+// where RunGlobal loses 0.0594 of 404.
+func TestMultiPoissonIsGlobal(t *testing.T) {
+	for _, c := range append(engineCases(), idleRunCases()...) {
+		if c.mk().Arrivals != nil {
+			continue
+		}
+		for _, tau := range []float64{1, 0.37, 0.1, 3.3} {
+			t.Run(fmt.Sprintf("%s/tau=%g", c.name, tau), func(t *testing.T) {
+				multi := atTau(c.mk(), tau)
+				multiCol := metrics.NewSlotMetrics(tau, 64)
+				multi.Collector = multiCol
+				mrep, err := RunMultiStation(multi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				global := atTau(c.mk(), tau).Config
+				globalCol := metrics.NewSlotMetrics(tau, 64)
+				global.Collector = globalCol
+				grep, err := RunGlobal(global)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := goldenFingerprint(mrep), goldenFingerprint(grep); got != want {
+					t.Errorf("RunMultiStation lost %.4f of %d messages, RunGlobal %.4f of %d; want the same run:\nmulti:  %s\nglobal: %s",
+						mrep.Loss(), mrep.Offered, grep.Loss(), grep.Offered, got, want)
+				}
+				if !reflect.DeepEqual(multiCol, globalCol) {
+					t.Errorf("RunMultiStation's collector differs from RunGlobal's:\nmulti:  %+v\nglobal: %+v", multiCol.Snapshot(), globalCol.Snapshot())
+				}
+			})
+		}
 	}
 }
 

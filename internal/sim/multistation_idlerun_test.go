@@ -130,7 +130,7 @@ func TestMultiIdleRunRefuses(t *testing.T) {
 				}
 				last = g.anchor + float64(g.k-1)*cfg.Tau
 				next = g.anchor + float64(g.k)*cfg.Tau
-				nextArr = g.nextArr
+				nextArr = g.arr.at
 				if last >= nextArr {
 					t.Fatalf("run booked the slot at %v idle, but slot-by-slot execution materializes the arrival at %v by then, and that slot probes a non-empty backlog", last, nextArr)
 				}

@@ -8,24 +8,17 @@ import (
 	"windowctl/internal/rngutil"
 )
 
-// Bank is a whole station population in struct-of-arrays form: flat,
-// index-parallel slices of per-station arrival state, in place of a slice
-// of Station objects.
-//
-// The multi-station engine's shared path exploits the protocol's
-// symmetry: under common channel feedback every station's resolver and
-// tracker pass through identical states, so the network evolves as one
-// pending queue plus one resolver, and the only thing distinguishing
-// station i from station j is its private arrival stream.  The Bank
-// therefore keeps exactly that — one xoshiro stream, one next-arrival
-// time and (when sources are heterogeneous) one ArrivalProcess per
-// station — and merges the M streams into a single global arrival order
-// in epochs, which Next hands out one arrival at a time.  An epoch is one
-// pass over the stations in index order that draws every arrival before
-// the epoch's end, each station's gaps drawn back to back from its own
-// stream, followed by a counting sort of the drawn arrivals into
-// (time, station) order.  The engine queues what it takes in its own
-// pending set.
+// Bank is a whole station population's arrival streams in
+// struct-of-arrays form: flat, index-parallel slices of per-station
+// arrival state, in place of a slice of stream objects.  It keeps one
+// xoshiro stream, one next-arrival time and (when sources are
+// heterogeneous) one ArrivalProcess per station, and merges the M
+// streams into a single global arrival order in epochs, which Next
+// hands out one arrival at a time.  An epoch is one pass over the
+// stations in index order that draws every arrival before the epoch's
+// end, each station's gaps drawn back to back from its own stream,
+// followed by a counting sort of the drawn arrivals into
+// (time, station) order.  The caller queues what it takes.
 //
 // Per-station memory is 56 bytes (stream 48, nextAt 8), so a million
 // stations fit in ~56 MB with zero per-station allocations.  The epoch
@@ -38,8 +31,7 @@ import (
 // rngutil.Seeded(rngutil.ChildSeed(seed, i+1)), the exact stream the i-th
 // Spawn of a root New(seed) yields.  Because child identity is a pure
 // function of (seed, i), initialization shards across any number of
-// workers bit-identically; it is also how the Bank reproduces the legacy
-// one-object-per-station engine draw for draw.
+// workers bit-identically.
 type Bank struct {
 	rate    float64          // uniform Poisson rate, used when procs is nil
 	procs   []ArrivalProcess // per-station sources; nil for uniform Poisson

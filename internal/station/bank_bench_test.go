@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// BenchmarkBankGenerateUntil drives a million-station population at the
+// BenchmarkBankNext drives a million-station population at the
 // million-station engine's per-station rate (aggregate 0.02 per unit
 // slot: ρ′ = 0.5 at M = 25) the way that engine does: it takes the
 // arrivals due at slot times only, skipping the idle slots before the
 // next arrival.  One op is one arrival.  It uses only the Bank's public
 // API.
-func BenchmarkBankGenerateUntil(b *testing.B) {
+func BenchmarkBankNext(b *testing.B) {
 	const n, lambda = 1_000_000, 0.02
 	bank, err := NewBank(n, 73, lambda/n, nil, 1)
 	if err != nil {

@@ -1,9 +1,9 @@
 package station
 
-// Bank-vs-Station oracle: the struct-of-arrays population must generate
-// the exact arrival sequence that one Station object per index would,
-// stream for stream and draw for draw, because the multi-station
-// engine's bit-equality with its per-station reference rests on it.
+// Bank-vs-reference oracle: the struct-of-arrays population must draw
+// the exact arrival sequence that one stream per station, spawned from
+// a root stream in index order, would, stream for stream and draw for
+// draw.
 
 import (
 	"math"
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"windowctl/internal/rngutil"
-	"windowctl/internal/window"
 )
 
 type refArrival struct {
@@ -19,26 +18,21 @@ type refArrival struct {
 	origin int
 }
 
-// referenceArrivals drains one Station object per index — seeded the
-// way the legacy engine did, root.Spawn() in index order — and returns
-// every arrival with time <= t in global (time, station) order.
+// referenceArrivals draws every station's arrivals with time <= t from
+// its own stream — the i-th root.Spawn() of a root New(seed), one
+// process per station — and returns them in global (time, station)
+// order.
 func referenceArrivals(n int, seed uint64, rate float64, arrivals func(int) ArrivalProcess, t float64) []refArrival {
 	root := rngutil.New(seed)
-	var nextID int64
 	var all []refArrival
 	for i := 0; i < n; i++ {
 		proc := ArrivalProcess(Poisson{Rate: rate})
 		if arrivals != nil {
 			proc = arrivals(i)
 		}
-		s := New(i, proc, root.Spawn(), &nextID)
-		s.GenerateUntil(t)
-		for {
-			m, ok := s.PopOldestIn(window.Window{Start: math.Inf(-1), End: math.Inf(1)})
-			if !ok {
-				break
-			}
-			all = append(all, refArrival{at: m.Arrival, origin: m.Origin})
+		r := root.Spawn()
+		for at := proc.NextGap(r); at <= t; at += proc.NextGap(r) {
+			all = append(all, refArrival{at: at, origin: i})
 		}
 	}
 	sort.Slice(all, func(x, y int) bool {
@@ -311,10 +305,10 @@ func TestBankRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBankGenerateZeroAlloc pins the epoch buffers' reuse: once the
+// TestBankNextZeroAlloc pins the epoch buffers' reuse: once the
 // epoch size has reached its cap, taking arrivals across several epoch
 // refills allocates nothing.
-func TestBankGenerateZeroAlloc(t *testing.T) {
+func TestBankNextZeroAlloc(t *testing.T) {
 	const n, rate = 1 << 16, 1e-4 // a capped epoch spans about 310 slots
 	b, err := NewBank(n, 71, rate, nil, 1)
 	if err != nil {

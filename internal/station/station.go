@@ -1,20 +1,22 @@
 // Package station models the distributed senders of the multiple-access
-// network: each station generates its own message arrivals, holds the
-// pending ones in a local queue ordered by arrival time, and participates
-// in the window protocol by transmitting exactly when one of its pending
-// messages falls inside the commonly enabled window.
+// network and their arrival processes.  A Station is one sender's
+// pending queue, ordered by arrival time: it transmits exactly when one
+// of its messages falls inside the commonly enabled window.  A Bank is a
+// whole population's arrival streams, one per station, merged into one
+// global (time, station) order.
 //
-// Arrival generation is pluggable.  The paper's analysis assumes Poisson
-// traffic; the packetized-voice example uses an on/off (talkspurt) source,
-// whose superposition across many stations the Poisson analysis
-// approximates.
+// Arrival processes are pluggable.  The paper's analysis assumes Poisson
+// traffic; the packetized-voice example uses an on/off (talkspurt)
+// source, whose superposition across many stations the Poisson analysis
+// approximates.  The simulators draw Poisson traffic as one network-wide
+// stream (M independent Poisson(λ′/M) streams merge into one
+// Poisson(λ′) stream) and use a Bank for the other processes.
 package station
 
 import (
 	"fmt"
 	"math"
 
-	"windowctl/internal/metrics"
 	"windowctl/internal/pendq"
 	"windowctl/internal/rngutil"
 	"windowctl/internal/window"
@@ -22,8 +24,6 @@ import (
 
 // Message is one fixed-length message awaiting transmission.
 type Message struct {
-	// ID is unique across the simulation.
-	ID int64
 	// Origin is the generating station's index.
 	Origin int
 	// Arrival is the absolute arrival time at the sending station.
@@ -98,65 +98,29 @@ func (o *OnOff) String() string {
 	return fmt.Sprintf("OnOff(onRate=%g, on=%g, off=%g)", o.OnRate, o.MeanOn, o.MeanOff)
 }
 
-// Station is one sender.
+// Station is one sender's pending queue: the messages it holds, ordered
+// by arrival time.  It generates nothing; the engine pushes the arrivals
+// it draws for the station.
 type Station struct {
-	id        int
-	proc      ArrivalProcess
-	rng       *rngutil.Stream
-	nextID    *int64 // shared message-ID counter
-	nextAt    float64
-	queue     pendq.Queue[Message] // pending messages, keyed by arrival time
-	created   int64
-	collector metrics.Collector // nil unless Observe was called
+	id    int
+	queue pendq.Queue[Message] // pending messages, keyed by arrival time
 }
 
-// New creates a station.  nextID is a shared counter used to assign
-// globally unique message IDs; pass the same pointer to every station.
-func New(id int, proc ArrivalProcess, rng *rngutil.Stream, nextID *int64) *Station {
-	if proc == nil || rng == nil || nextID == nil {
-		panic("station: nil dependency")
-	}
-	s := &Station{id: id, proc: proc, rng: rng, nextID: nextID}
-	s.nextAt = proc.NextGap(rng)
-	return s
-}
+// New creates station id with an empty queue.
+func New(id int) *Station { return &Station{id: id} }
 
 // ID returns the station index.
 func (s *Station) ID() int { return s.id }
 
-// Observe attaches a metrics collector: generated arrivals and element-(4)
-// discards at this station are reported to it.  Pass nil to detach.  The
-// same collector may be shared by every station of a simulation — message
-// events are disjoint across stations.
-func (s *Station) Observe(c metrics.Collector) { s.collector = c }
-
-// GenerateUntil materializes every arrival with time <= t into the queue
-// and returns how many were added.
-func (s *Station) GenerateUntil(t float64) int {
-	added := 0
-	for s.nextAt <= t {
-		id := *s.nextID
-		*s.nextID++
-		s.queue.Push(s.nextAt, Message{ID: id, Origin: s.id, Arrival: s.nextAt})
-		s.created++
-		added++
-		gap := s.proc.NextGap(s.rng)
-		if gap <= 0 {
-			panic("station: arrival process returned non-positive gap")
-		}
-		s.nextAt += gap
-	}
-	if s.collector != nil && added > 0 {
-		s.collector.RecordArrivals(int64(added))
-	}
-	return added
+// Push queues a message that arrived at the station at time at, which
+// must not be earlier than any message pushed before it (the engines
+// push in arrival order).
+func (s *Station) Push(at float64) {
+	s.queue.Push(at, Message{Origin: s.id, Arrival: at})
 }
 
 // QueueLen returns the number of pending messages.
 func (s *Station) QueueLen() int { return s.queue.Len() }
-
-// Created returns the total number of messages generated so far.
-func (s *Station) Created() int64 { return s.created }
 
 // CountIn returns how many pending messages have arrival times inside w.
 func (s *Station) CountIn(w window.Window) int {
@@ -170,30 +134,10 @@ func (s *Station) PopOldestIn(w window.Window) (Message, bool) {
 }
 
 // DiscardArrivedBeforeFunc removes every pending message with arrival
-// time strictly below the horizon (policy element (4)), calling fn (if
-// non-nil) on each in arrival order, and returns how many were dropped.
-// It is the allocation-free form the simulation engines use per decision
-// epoch.
+// time strictly below the horizon (policy element (4)), calling fn on
+// each in arrival order, and returns how many were dropped.
 func (s *Station) DiscardArrivedBeforeFunc(horizon float64, fn func(Message)) int {
-	var n int
-	if fn == nil {
-		n = s.queue.DiscardBelow(horizon, nil)
-	} else {
-		n = s.queue.DiscardBelow(horizon, func(_ float64, m Message) { fn(m) })
-	}
-	if n > 0 && s.collector != nil {
-		s.collector.RecordDiscards(int64(n))
-	}
-	return n
-}
-
-// DiscardArrivedBefore removes and returns every pending message with
-// arrival time strictly below the horizon.  It allocates the returned
-// slice; hot paths should use DiscardArrivedBeforeFunc.
-func (s *Station) DiscardArrivedBefore(horizon float64) []Message {
-	var dropped []Message
-	s.DiscardArrivedBeforeFunc(horizon, func(m Message) { dropped = append(dropped, m) })
-	return dropped
+	return s.queue.DiscardBelow(horizon, func(_ float64, m Message) { fn(m) })
 }
 
 // Oldest returns the oldest pending message without removing it.

@@ -9,39 +9,41 @@ import (
 	"windowctl/internal/window"
 )
 
-func newStation(seed uint64, rate float64) *Station {
-	var nextID int64
-	return New(0, Poisson{Rate: rate}, rngutil.New(seed), &nextID)
+// newStation returns station 0 holding the arrivals before until of a
+// Poisson(rate) stream seeded with seed.
+func newStation(seed uint64, rate, until float64) *Station {
+	s := New(0)
+	for _, at := range gapTimes(Poisson{Rate: rate}, rngutil.New(seed), until) {
+		s.Push(at)
+	}
+	return s
 }
 
+// gapTimes returns the arrival times before until that proc's gaps,
+// drawn from r, add up to.
+func gapTimes(proc ArrivalProcess, r *rngutil.Stream, until float64) []float64 {
+	var times []float64
+	for at := proc.NextGap(r); at < until; at += proc.NextGap(r) {
+		times = append(times, at)
+	}
+	return times
+}
+
+// TestPoissonGenerationRate checks the Bank's Poisson default: a single
+// station of rate 2 gives about 2 arrivals per unit time.
 func TestPoissonGenerationRate(t *testing.T) {
-	s := newStation(1, 2.0)
-	s.GenerateUntil(10000)
-	got := float64(s.Created()) / 10000
-	if math.Abs(got-2) > 0.05 {
+	b, err := NewBank(1, 1, 2.0, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTaker(b).until(10000)
+	if got := float64(n) / 10000; math.Abs(got-2) > 0.05 {
 		t.Fatalf("generation rate %v, want 2", got)
 	}
 }
 
-func TestGenerateUntilIncremental(t *testing.T) {
-	a := newStation(5, 1)
-	b := newStation(5, 1)
-	a.GenerateUntil(100)
-	for x := 0.0; x <= 100; x += 0.7 {
-		b.GenerateUntil(x)
-	}
-	b.GenerateUntil(100)
-	if a.Created() != b.Created() {
-		t.Fatalf("incremental generation differs: %d vs %d", a.Created(), b.Created())
-	}
-	if a.QueueLen() != b.QueueLen() {
-		t.Fatal("queues differ")
-	}
-}
-
 func TestCountAndPop(t *testing.T) {
-	s := newStation(2, 1)
-	s.GenerateUntil(50)
+	s := newStation(2, 1, 50)
 	w := window.Window{Start: 10, End: 20}
 	n := s.CountIn(w)
 	// Cross-check by popping until empty.
@@ -54,6 +56,9 @@ func TestCountAndPop(t *testing.T) {
 		if !w.Contains(m.Arrival) {
 			t.Fatalf("popped %v outside window", m.Arrival)
 		}
+		if m.Origin != s.ID() {
+			t.Fatalf("popped a message of station %d from station %d", m.Origin, s.ID())
+		}
 		popped++
 	}
 	if popped != n {
@@ -65,8 +70,7 @@ func TestCountAndPop(t *testing.T) {
 }
 
 func TestPopOldestOrder(t *testing.T) {
-	s := newStation(3, 1)
-	s.GenerateUntil(30)
+	s := newStation(3, 1, 30)
 	w := window.Window{Start: 0, End: 30}
 	prev := -1.0
 	for {
@@ -82,10 +86,14 @@ func TestPopOldestOrder(t *testing.T) {
 }
 
 func TestDiscardArrivedBefore(t *testing.T) {
-	s := newStation(4, 1)
-	s.GenerateUntil(40)
+	s := newStation(4, 1, 40)
 	total := s.QueueLen()
-	dropped := s.DiscardArrivedBefore(20)
+	var dropped []Message
+	collect := func(m Message) { dropped = append(dropped, m) }
+	n := s.DiscardArrivedBeforeFunc(20, collect)
+	if n != len(dropped) {
+		t.Fatalf("discard reported %d messages but passed %d to fn", n, len(dropped))
+	}
 	for _, m := range dropped {
 		if m.Arrival >= 20 {
 			t.Fatalf("dropped fresh message at %v", m.Arrival)
@@ -98,42 +106,14 @@ func TestDiscardArrivedBefore(t *testing.T) {
 		t.Fatal("old message survived discard")
 	}
 	// Idempotent.
-	if len(s.DiscardArrivedBefore(20)) != 0 {
+	if s.DiscardArrivedBeforeFunc(20, collect) != 0 {
 		t.Fatal("second discard dropped messages")
 	}
 }
 
 func TestOldestEmpty(t *testing.T) {
-	s := newStation(6, 1)
-	if _, ok := s.Oldest(); ok {
+	if _, ok := New(6).Oldest(); ok {
 		t.Fatal("empty station has an oldest message")
-	}
-}
-
-func TestUniqueIDsAcrossStations(t *testing.T) {
-	var nextID int64
-	r := rngutil.New(9)
-	sts := make([]*Station, 4)
-	for i := range sts {
-		sts[i] = New(i, Poisson{Rate: 1}, r.Spawn(), &nextID)
-	}
-	seen := map[int64]bool{}
-	for _, s := range sts {
-		s.GenerateUntil(100)
-		w := window.Window{Start: 0, End: 101}
-		for {
-			m, ok := s.PopOldestIn(w)
-			if !ok {
-				break
-			}
-			if seen[m.ID] {
-				t.Fatalf("duplicate message ID %d", m.ID)
-			}
-			if m.Origin != s.ID() {
-				t.Fatal("origin mismatch")
-			}
-			seen[m.ID] = true
-		}
 	}
 }
 
@@ -143,10 +123,7 @@ func TestOnOffMeanRate(t *testing.T) {
 	if math.Abs(o.MeanRate()-want) > 1e-12 {
 		t.Fatalf("MeanRate %v, want %v", o.MeanRate(), want)
 	}
-	var nextID int64
-	s := New(0, o, rngutil.New(11), &nextID)
-	s.GenerateUntil(5000)
-	got := float64(s.Created()) / 5000
+	got := float64(len(gapTimes(o, rngutil.New(11), 5000))) / 5000
 	if math.Abs(got-want) > 0.05*want {
 		t.Fatalf("on/off empirical rate %v, want %v", got, want)
 	}
@@ -156,21 +133,10 @@ func TestOnOffBurstiness(t *testing.T) {
 	// Index of dispersion of counts over short intervals must exceed 1
 	// (Poisson would be ~1): the defining property of talkspurt traffic.
 	o := &OnOff{OnRate: 40, MeanOn: 0.5, MeanOff: 2}
-	var nextID int64
-	s := New(0, o, rngutil.New(12), &nextID)
-	s.GenerateUntil(4000)
 	w := 1.0 // counting window
 	counts := make([]float64, 4000)
-	all := window.Window{Start: 0, End: 4001}
-	for {
-		m, ok := s.PopOldestIn(all)
-		if !ok {
-			break
-		}
-		idx := int(m.Arrival / w)
-		if idx < len(counts) {
-			counts[idx]++
-		}
+	for _, at := range gapTimes(o, rngutil.New(12), 4000) {
+		counts[int(at/w)]++
 	}
 	mean, varsum := 0.0, 0.0
 	for _, c := range counts {
@@ -186,27 +152,18 @@ func TestOnOffBurstiness(t *testing.T) {
 	}
 }
 
+// TestConstructorPanics requires NewBank, which draws every station's
+// first gap, to panic on a source that cannot give a positive one: an
+// on/off source without parameters, or a non-positive gap.
 func TestConstructorPanics(t *testing.T) {
-	var id int64
-	r := rngutil.New(1)
-	for i, fn := range []func(){
-		func() { New(0, nil, r, &id) },
-		func() { New(0, Poisson{Rate: 1}, nil, &id) },
-		func() { New(0, Poisson{Rate: 1}, r, nil) },
-		func() {
-			o := &OnOff{}
-			var nid int64
-			s := New(0, o, rngutil.New(2), &nid)
-			s.GenerateUntil(1)
-		},
-	} {
+	for i, proc := range []ArrivalProcess{&OnOff{}, everyGap(0), everyGap(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
+					t.Errorf("case %d (%v): expected panic", i, proc)
 				}
 			}()
-			fn()
+			NewBank(2, 1, 0, func(int) ArrivalProcess { return proc }, 1)
 		}()
 	}
 }
@@ -215,8 +172,7 @@ func TestConstructorPanics(t *testing.T) {
 // consistent with membership.
 func TestQueueSortedProperty(t *testing.T) {
 	f := func(seed uint64, horizon uint8) bool {
-		s := newStation(seed, 1.5)
-		s.GenerateUntil(float64(horizon%50) + 1)
+		s := newStation(seed, 1.5, float64(horizon%50)+1)
 		prev := -1.0
 		w := window.Window{Start: 0, End: 1e9}
 		n := s.CountIn(w)

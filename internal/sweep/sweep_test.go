@@ -166,7 +166,7 @@ func TestKeyPinned(t *testing.T) {
 		Tau: 1, RhoPrime: 0.5, M: 25, KOverM: 2,
 		Discipline: "controlled", Seed: 1, Messages: 1000, Replications: 1,
 	}
-	const want = "394c3b9dc93a99eaf8ba1e1ed9c77cb4e76c311140728856a3e739a8e9df4a8f"
+	const want = "54481c467d74fad4d6e0fb6a914cc5d51470a0eae161c9d28dcdd1c22c4935c1"
 	if got := p.Key(); got != want {
 		t.Fatalf("pinned key changed:\n got %s\nwant %s", got, want)
 	}
