@@ -1,9 +1,10 @@
 // Command windowsim simulates the window protocol at one operating point
 // and prints the measured loss, delay and channel statistics.  It runs
-// the global-view simulator, fed by one Poisson stream or, with
-// -stations N, by N per-station arrival streams merged in time order
-// (the multi-station simulator; with -feedback-error-per-station it runs
-// every station's own state machines).
+// the global-view simulator, fed by one Poisson stream.  With -stations N
+// it runs the multi-station simulator, whose N Poisson stations merge
+// into that same stream; with -feedback-error-per-station it runs every
+// station's own state machines, each arrival marked with a uniformly
+// drawn station.
 //
 // With -metrics the run is instrumented with a slot-level collector: the
 // idle/success/collision slot counts, window splits, element-(4)

@@ -4,7 +4,8 @@
 // the fraction of reports delivered within the staleness bound.
 //
 // The example runs the *multi-station* simulator (every sensor has its
-// own arrival stream; the protocol state machines, kept consistent only
+// own Poisson arrival stream, and together they merge into one
+// network-wide stream; the protocol state machines, kept consistent only
 // by common channel feedback, are one shared copy) and compares the
 // controlled protocol against the uncontrolled FCFS and LCFS disciplines
 // at the same load.
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	fmt.Println("\nAll 24 stations hear the same channel feedback, so their window state machines")
-	fmt.Println("agree on every slot: the simulator keeps one shared copy fed by 24 arrival streams.")
+	fmt.Println("agree on every slot: the simulator keeps one shared copy, fed by the merged stream\nof the 24 sensors' Poisson arrivals.")
 	fmt.Println("Note how the controlled protocol converts receiver-side (late) losses into")
 	fmt.Println("cheaper sender-side discards: the channel only carries reports that will")
 	fmt.Println("still be fresh on arrival (policy element 4).")

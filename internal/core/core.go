@@ -330,9 +330,10 @@ func (s System) Simulate(opt SimOptions) (sim.Report, error) {
 }
 
 // SimulateDistributed runs the multi-station simulation with the given
-// number of stations: one arrival stream per station, merged into the
-// global engine's single pending queue, which the per-station reference
-// engine reproduces bit for bit (see sim.RunMultiStation).
+// number of stations.  Their Poisson streams merge into one Poisson
+// stream, so the run is the global engine's on the same configuration,
+// which the per-station reference engine reproduces bit for bit (see
+// sim.RunMultiStation).
 func (s System) SimulateDistributed(stations int, opt SimOptions) (sim.Report, error) {
 	cfg, err := s.simConfig(opt)
 	if err != nil {
