@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -164,6 +165,11 @@ func TestAdvanceMatchesDirectPoisson(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("report diverged:\n got %+v\nwant %+v", got, want)
 			}
+			// Knuth draws resynchronise after a shifted start, so equal
+			// paths do not prove the streams were in step.
+			if a, b := p.rel.Uint64(), rel.Uint64(); a != b {
+				t.Errorf("release stream out of step: the pump's next draw is %#x, the reference's %#x", a, b)
+			}
 		})
 	}
 }
@@ -210,12 +216,12 @@ func figure7Options(tau float64) options {
 	return o
 }
 
-// The pump's idle runs are an optimisation, not a new path: the loop that
-// takes them and the per-step reference (Step, then Poisson(λ′·elapsed)
-// clamped to the ledger) must reach the same clock, step count, ledger,
-// report and collector — the collector's idle time (and the utilization
-// derived from it) excepted at a non-integer τ, where one record of k
-// slots rounds differently from k records of one.
+// The pump's idle runs are an optimisation, not a new path: a reference
+// that Steps slot by slot through each run, releasing at the first slot
+// that reaches the run's end with the same gap and release draws, and
+// Steps and draws Poisson(λ′·elapsed) for every other epoch, all clamped
+// to the ledger, must reach the same clock, step count, ledger, report
+// and collector.  A step that moved the pump's gap took an idle run.
 func TestPumpIdleRunMatchesStepping(t *testing.T) {
 	for _, tau := range []float64{1, 0.37} {
 		for _, tc := range []struct {
@@ -232,13 +238,20 @@ func TestPumpIdleRunMatchesStepping(t *testing.T) {
 				o.synthetic = tc.synthetic
 				srv, p := barePump(t, o)
 				p.owed = tc.owed
+				type epoch struct {
+					slots uint64
+					idle  bool
+				}
+				var epochs []epoch
 				runs := 0
 				for p.steps < n {
-					before := p.steps
+					before, gap := p.steps, p.gap
 					if err := p.step(); err != nil {
 						t.Fatal(err)
 					}
-					if p.steps-before > 1 {
+					e := epoch{p.steps - before, p.gap != gap}
+					epochs = append(epochs, e)
+					if e.slots > 1 {
 						runs++
 					}
 				}
@@ -252,18 +265,43 @@ func TestPumpIdleRunMatchesStepping(t *testing.T) {
 					t.Fatal(err)
 				}
 				rel := rngutil.New(o.seed ^ 0x6a09e667f3bcc909)
+				gaps := rel.Spawn()
+				gap := gaps.Exp(1)
+				lam := o.lambda()
 				owed := tc.owed
-				for i := uint64(0); i < p.steps; i++ {
-					before := st.Now()
-					if err := st.Step(); err != nil {
-						t.Fatal(err)
-					}
-					k := int64(rel.Poisson(o.lambda() * (st.Now() - before)))
+				inject := func(k int64) {
 					if !o.synthetic {
 						k = min(k, owed)
 						owed -= k
 					}
 					st.Inject(int(k))
+				}
+				for i, e := range epochs {
+					if !e.idle {
+						before := st.Now()
+						if err := st.Step(); err != nil {
+							t.Fatal(err)
+						}
+						inject(int64(rel.Poisson(lam * (st.Now() - before))))
+						continue
+					}
+					start := st.Now()
+					until := start + gap/lam
+					for j := uint64(0); j < e.slots; j++ {
+						if err := st.Step(); err != nil {
+							t.Fatal(err)
+						}
+						if now := st.Now(); now >= until {
+							if j != e.slots-1 {
+								t.Fatalf("epoch %d: the reference reached the run's end after %d slots, the pump's run took %d", i, j+1, e.slots)
+							}
+							inject(1 + int64(rel.Poisson(lam*(now-until))))
+							gap = gaps.Exp(1)
+						}
+					}
+					if st.Now() < until {
+						gap -= lam * (st.Now() - start)
+					}
 				}
 				if !o.synthetic && owed != 0 {
 					t.Fatalf("setup: the ledger never ran dry (%d owed), so the clamp went untested", owed)
@@ -274,6 +312,9 @@ func TestPumpIdleRunMatchesStepping(t *testing.T) {
 				}
 				if p.owed != owed {
 					t.Errorf("owed = %d, reference loop %d", p.owed, owed)
+				}
+				if p.gap != gap {
+					t.Errorf("gap = %v, reference loop %v", p.gap, gap)
 				}
 				got, err := p.st.Finish()
 				if err != nil {
@@ -294,8 +335,159 @@ func TestPumpIdleRunMatchesStepping(t *testing.T) {
 	}
 }
 
-// A warm pump iteration that takes an idle run allocates nothing: the
-// release callback is bound once, not rebuilt per call.
+// An idle run must release by the per-slot law: idle slots that each
+// release an independent Poisson(λ′τ) count.  From
+// any point the pump reaches without looking ahead, the idle slot that
+// first releases is then Geometric(1 − e^{−λ′τ}) on {1, 2, ...}, and its
+// count zero-truncated Poisson(λ′τ).  Trials start at such points, in
+// three kinds: plain runs; runs each cut at the 1024-step boundary after
+// 1 to 16 slots; and runs after a /config swap from ρ′ = 0.75 to 0.3,
+// made mid-gap after one cut run that released nothing, and counted from
+// the swap at the new λ′.  Epochs that are not idle runs release by
+// advance's own draw, so their slots are not counted.
+func TestIdleRunReleaseLaw(t *testing.T) {
+	for _, tau := range []float64{1, 0.37} {
+		for _, kind := range []string{"plain", "cut", "swap"} {
+			t.Run(fmt.Sprintf("tau=%v/%s", tau, kind), func(t *testing.T) {
+				o := figure7Options(tau)
+				o.synthetic = true
+				swapped := o
+				swapped.load = 0.3
+				law := o
+				if kind == "swap" {
+					law = swapped
+				}
+				_, p := barePump(t, o)
+				cuts := rngutil.New(5)
+				// run takes the pump's next idle run, cut after cut slots
+				// when cut > 0, and returns its slots and the count it
+				// released; epochs before it are advances.
+				run := func(cut int) (slots, released int) {
+					for {
+						if p.st.Backlog() == 0 {
+							if cut > 0 {
+								p.steps += uint64((1024 - cut - int(p.steps&1023)) & 1023)
+							}
+							before := p.steps
+							if p.idleRun() {
+								return int(p.steps - before), p.st.Backlog()
+							}
+						}
+						if err := p.advance(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				swap := func(to options) {
+					reply := make(chan error, 1)
+					p.reconfigure(ctrlMsg{opts: to, reply: reply})
+					if err := <-reply; err != nil {
+						t.Fatal(err)
+					}
+				}
+				mu := law.lambda() * tau
+				q := 1 - math.Exp(-mu)
+				maxSlots := int(40 / q) // beyond it a trial counts in the tail
+				first, count := map[int]int{}, map[int]int{}
+				const trials = 6000
+				for n := 0; n < trials; {
+					if kind == "swap" {
+						if _, released := run(1 + cuts.Intn(16)); released > 0 {
+							continue // released before the swap: no trial
+						}
+						swap(swapped)
+					}
+					total := 0
+					for total < maxSlots {
+						cut := 0
+						if kind == "cut" {
+							cut = 1 + cuts.Intn(16)
+						}
+						slots, released := run(cut)
+						total += slots
+						if released > 0 {
+							count[released]++
+							break
+						}
+					}
+					first[min(total, maxSlots)]++
+					n++
+					if kind == "swap" {
+						swap(o)
+					}
+				}
+				chiSquare(t, "first releasing idle slot", first, func(k int) float64 {
+					return math.Pow(1-q, float64(k-1)) * q
+				})
+				chiSquare(t, "its release count", count, func(k int) float64 {
+					lg, _ := math.Lgamma(float64(k + 1))
+					return math.Exp(float64(k)*math.Log(mu)-mu-lg) / q
+				})
+			})
+		}
+	}
+}
+
+// chiSquare fails t unless obs, counts of the integers from 1 up, follow
+// pmf by Pearson's chi-square test at the 0.1% level.  Consecutive
+// integers are pooled into bins expecting at least 20 each, the last bin
+// taking the rest of the mass; the failure names each bin's observed and
+// expected frequency.
+func chiSquare(t *testing.T, what string, obs map[int]int, pmf func(int) float64) {
+	t.Helper()
+	n, top := 0, 0
+	for k, c := range obs {
+		n += c
+		top = max(top, k)
+	}
+	if n == 0 {
+		t.Errorf("%s: no samples", what)
+		return
+	}
+	var table strings.Builder
+	stat, bins := 0.0, 0
+	bin := func(label string, o int, e float64) {
+		stat += (float64(o) - e) * (float64(o) - e) / e
+		bins++
+		fmt.Fprintf(&table, "\n  %-9s observed %6d  expected %9.1f", label, o, e)
+	}
+	lo, o, e, mass := 1, 0, 0.0, 0.0
+	for k := 1; ; k++ {
+		pk := pmf(k)
+		o += obs[k]
+		e += float64(n) * pk
+		mass += pk
+		if rest := float64(n) * max(0, 1-mass); e >= 20 && rest < 20 || k > top && rest <= 1e-9*float64(n) {
+			for j := k + 1; j <= top; j++ {
+				o += obs[j]
+			}
+			bin(fmt.Sprintf("%d+", lo), o, e+rest)
+			break
+		}
+		if e >= 20 {
+			label := fmt.Sprint(lo)
+			if k > lo {
+				label = fmt.Sprintf("%d-%d", lo, k)
+			}
+			bin(label, o, e)
+			lo, o, e = k+1, 0, 0
+		}
+	}
+	if bins < 2 {
+		t.Errorf("%s: %d samples fill one bin, too few to test:%s", what, n, table.String())
+		return
+	}
+	// Wilson–Hilferty's approximation to the 99.9% point of chi-square.
+	df := float64(bins - 1)
+	a := 2 / (9 * df)
+	crit := df * math.Pow(1-a+3.0902*math.Sqrt(a), 3)
+	if stat > crit {
+		t.Errorf("%s: chi-square %.1f over %v degrees of freedom, 99.9%% point %.1f (%d samples):%s",
+			what, stat, df, crit, n, table.String())
+	}
+}
+
+// A warm pump iteration that takes an idle run allocates nothing.
 func TestPumpIdleRunZeroAlloc(t *testing.T) {
 	o := figure7Options(1)
 	o.synthetic = true

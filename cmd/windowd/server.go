@@ -296,8 +296,12 @@ type pumpState struct {
 	synthetic bool
 	est       *window.RateEstimator
 	rel       *rngutil.Stream
-	owed      int64
-	steps     uint64
+	// gap is the unit-rate exponential mass left before the next release
+	// of an idle run, drawn from gaps: the run ends gap/λ′ after it starts.
+	gap   float64
+	gaps  *rngutil.Stream
+	owed  int64
+	steps uint64
 	// relExp memoises exp(−mean) for the release means the pump meets.
 	relExp expMemo
 	// copies are the two collector copies publish alternates between;
@@ -315,6 +319,10 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 		rel:    rngutil.New(o.seed ^ 0x6a09e667f3bcc909),
 		relExp: newExpMemo(),
 	}
+	// A child stream: Spawn leaves the release stream where it is, and
+	// advance's draws do not depend on how many gaps the idle runs drew.
+	p.gaps = p.rel.Spawn()
+	p.gap = p.gaps.Exp(1)
 	for i := range p.copies {
 		p.copies[i] = new(collectorCopy)
 		s.shared.CopyTo(&p.copies[i].m) // size the histogram once
@@ -332,10 +340,10 @@ func newPumpState(s *server, st *sim.Stepper, o options, est *window.RateEstimat
 //
 // At the figure-7 point the protocol probes about eleven mostly idle
 // slots per admission decision.  The pump takes each run of idle slots in
-// one Stepper.IdleRun call, drawing the release slot by slot, and keeps
-// the loop's fixed cost small: the control plane is polled with one
-// atomic load, and the channel select runs only once a /config handler
-// or the drain has raised ctrlWaiting.
+// one Stepper.IdleRun call that ends at the next release, drawn once per
+// run (see idleRun), and keeps the loop's fixed cost small: the control
+// plane is polled with one atomic load, and the channel select runs only
+// once a /config handler or the drain has raised ctrlWaiting.
 func (p *pumpState) run() {
 	s := p.s
 	defer close(s.done)
@@ -395,17 +403,43 @@ func (p *pumpState) absorb() {
 // and there is something to release, otherwise by one decision epoch.
 // Either way it adds the decision epochs taken to p.steps and stops at
 // the next multiple of 1024 steps, where the pump publishes its status.
-// With the engine warm it performs zero allocations per call.
+// With the engine warm it performs zero allocations per call.  A run
+// needs an empty engine, so under a standing backlog step goes straight
+// to advance.
 func (p *pumpState) step() error {
-	if p.synthetic || p.owed > 0 {
-		slots, n := p.st.IdleRun(1024-int(p.steps&1023), p.release)
-		if slots > 0 {
-			p.steps += uint64(slots)
-			p.inject(int64(n))
-			return nil
-		}
+	if (p.synthetic || p.owed > 0) && p.st.Backlog() == 0 && p.idleRun() {
+		return nil
 	}
 	return p.advance()
+}
+
+// idleRun takes one run of idle slots, in one Stepper.IdleRun call
+// however long it is, and reports whether the engine took one.
+//
+// The run releases nothing until the next arrival of a Poisson(λ′)
+// stream, until = start + gap/λ′.  A run that reaches it releases that
+// arrival and the Poisson(λ′·(now − until)) more that fall in the rest of
+// its last slot, then draws a fresh gap.  A run cut short by the
+// 1024-step boundary spends the mass it covered, λ′·(now − start), and
+// the rest carries over.  By memorylessness the rest is again a unit
+// exponential, whatever advance draws meanwhile and whatever λ′ a
+// /config swap brings, so each idle slot releases an independent
+// Poisson(λ′τ) count, as advance's per-epoch draw would.
+func (p *pumpState) idleRun() bool {
+	start := p.st.Now()
+	until := start + p.gap/p.lam
+	slots := p.st.IdleRun(1024-int(p.steps&1023), until)
+	if slots == 0 {
+		return false
+	}
+	p.steps += uint64(slots)
+	if now := p.st.Now(); now >= until {
+		p.inject(1 + int64(p.release(now-until)))
+		p.gap = p.gaps.Exp(1)
+	} else {
+		p.gap -= p.lam * (now - start)
+	}
+	return true
 }
 
 // advance runs one decision epoch and releases owed arrivals matched to

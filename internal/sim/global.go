@@ -539,9 +539,9 @@ func (g *globalState) deliver(w window.Window) error {
 // runs (e.g. the M = 100 figure panels) affordable.  The skip leaves the
 // protocol state (cleared region, clock, idle-slot count) exactly as
 // probe-by-probe execution does, since both read every slot time from
-// the slot clock.  Stepper.IdleRun is the same skip for the stepped
-// engine, which cannot know the next arrival and so is handed the run's
-// end by its caller.
+// the slot clock.  Stepper.IdleRun takes the same skip (skipIdle); the
+// stepped engine cannot know its next arrival, so its caller hands it the
+// run's end instead of the arrival stream.
 func (g *globalState) fastForwardIdle(view window.View) bool {
 	if g.cfg.DisableFastForward || g.cfg.ExternalArrivals {
 		// The stepped engine cannot know its next arrival, so the skip
@@ -552,15 +552,24 @@ func (g *globalState) fastForwardIdle(view window.View) bool {
 	if !g.idleProbe(view) {
 		return false
 	}
-	// One idle probe clears the span; every further slot before the next
-	// arrival is an idle single-slot probe.  Probe-by-probe execution runs
-	// a slot only before EndTime, and the slot at or after the arrival
-	// materializes it, so the skip runs the slots before both.
-	skip := g.slotsBefore(math.Min(g.arr.at, g.cfg.EndTime))
-	g.tick(skip)
-	g.bookIdle(skip, view.TPast)
+	g.skipIdle(view, g.arr.at, math.MaxInt64)
 	g.idleRuns++
 	return true
+}
+
+// skipIdle runs the idle probe at view and the idle single-slot probes
+// after it in one step, and returns how many slots it ran.  One idle
+// probe clears the span; every further slot before the next arrival at
+// next is an idle single-slot probe.  Probe-by-probe execution runs a
+// slot only before EndTime, and the slot at or after the arrival
+// materializes it, so the skip runs the slots before both: at least the
+// probe itself, at most limit.  The caller has checked idleProbe(view)
+// and that the clock is before EndTime.
+func (g *globalState) skipIdle(view window.View, next float64, limit int64) int64 {
+	k := min(max(1, g.slotsBefore(next)), g.slotsBefore(g.cfg.EndTime), limit)
+	g.tick(k)
+	g.bookIdle(k, view.TPast)
+	return k
 }
 
 // idleProbe reports whether the decision epoch at view is certainly one

@@ -1,9 +1,9 @@
 package sim
 
 // FuzzEngineIdentities drives small random configurations through the
-// batch engines and holds them to the identities the engines promise:
-// each pair of runs below must return the same report and leave the same
-// collector, or both must reject the configuration.
+// batch engines and the stepped one and holds them to the identities the
+// engines promise: each pair of runs below must return the same report
+// and leave the same collector, or both must reject the configuration.
 //
 // The seed corpus is in testdata/fuzz/FuzzEngineIdentities, one
 // file per input, named after what it exercises.  Run it beyond the
@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"windowctl/internal/metrics"
+	"windowctl/internal/rngutil"
 )
 
 // identityTaus are the slot times the fuzzer picks from: integer and
@@ -110,8 +111,73 @@ func sameRun(t *testing.T, what string, a, b identityRun) {
 	}
 }
 
+// idleRunIdentity holds Stepper.IdleRun to its promise: an engine that
+// takes idle runs and one that takes as many Steps with nothing injected
+// reach the same clock and cleared region after every run, and the same
+// report and collector at the end.  Between runs both take one Step after
+// injecting the same Poisson count.  limit caps each run at limit%64
+// slots (0: IdleRun must refuse); until ends it at the slot time
+// until>>2 slots from now, plus until&3 quarters of a slot (0: exactly on
+// a slot time).
+func idleRunIdentity(t *testing.T, name string, mk func() MultiConfig, limit, until uint8) {
+	cfg := mk().Config
+	build := func() (*Stepper, *metrics.SlotMetrics) {
+		col := metrics.NewSlotMetrics(cfg.Tau, 64)
+		c := mk().Config
+		c.Collector = col
+		s, err := NewStepper(c)
+		if err != nil {
+			t.Fatalf("%s: NewStepper: %v", name, err)
+		}
+		return s, col
+	}
+	a, colA := build()
+	b, colB := build()
+	rel := rngutil.New(cfg.Seed ^ 0x1d1e)
+	lim := int(limit % 64)
+	runs := 0
+	for round := 0; round < 400; round++ {
+		g := a.g
+		end := g.at(g.k+int64(until>>2)) + float64(until&3)/4*cfg.Tau
+		before := a.Now()
+		slots := a.IdleRun(lim, end)
+		if slots > 0 && lim == 0 {
+			t.Fatalf("%s: IdleRun took %d slots with limit 0", name, slots)
+		}
+		for i := 0; i < slots; i++ {
+			if err := b.Step(); err != nil {
+				t.Fatalf("%s: Step %d of a %d-slot idle run: %v", name, i, slots, err)
+			}
+		}
+		if a.Now() != b.Now() {
+			t.Fatalf("%s: Now() = %v after a %d-slot idle run, %v after as many Steps", name, a.Now(), slots, b.Now())
+		}
+		if ca, cb := a.g.tracker.ClearedIntervals(), b.g.tracker.ClearedIntervals(); !reflect.DeepEqual(ca, cb) {
+			t.Fatalf("%s: cleared region %v after a %d-slot idle run, %v after as many Steps", name, ca, slots, cb)
+		}
+		if slots > 0 {
+			runs++
+		}
+		n := rel.Poisson(cfg.Lambda * (a.Now() - before + cfg.Tau))
+		a.Inject(n)
+		b.Inject(n)
+		errA, errB := a.Step(), b.Step()
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: one engine failed its Step and the other did not:\nerr a: %v\nerr b: %v", name, errA, errB)
+		}
+		if errA != nil {
+			break
+		}
+	}
+	repA, errA := a.Finish()
+	repB, errB := b.Finish()
+	sameRun(t, fmt.Sprintf("%s: IdleRun(%d, +%d.%d slots) vs Steps (%d runs)", name, lim, until>>2, 25*(until&3), runs),
+		identityRun{fp: goldenFingerprint(repA), col: colA, err: errA},
+		identityRun{fp: goldenFingerprint(repB), col: colB, err: errB})
+}
+
 func FuzzEngineIdentities(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, tau, m, rho, kom, policy, stations, maxb uint8, faults bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, tau, m, rho, kom, policy, stations, maxb uint8, faults bool, limit, until uint8) {
 		mk := identityCase(seed, tau, m, rho, kom, policy, stations, maxb, faults)
 		name := describe(mk())
 		multi := func(tweak func(*MultiConfig)) identityRun {
@@ -128,5 +194,6 @@ func FuzzEngineIdentities(f *testing.F) {
 			multi(func(c *MultiConfig) { c.forceDense, c.Workers = true, 3 }))
 		sameRun(t, name+": "+"Poisson RunMultiStation vs RunGlobal", shared,
 			runIdentity(mk(), func(c MultiConfig) (Report, error) { return RunGlobal(c.Config) }))
+		idleRunIdentity(t, name, mk, limit, until)
 	})
 }

@@ -97,33 +97,27 @@ func (s *Stepper) Step() error {
 // would.  It applies only when the next Step is certainly one idle probe
 // that clears the whole unexamined span, under the conditions of the
 // batch engine's idle skip (fastForwardIdle) and with nothing injected;
-// otherwise it returns (0, 0) and changes nothing.  After that probe,
-// every slot until the next arrival is one more idle probe of the slot
-// just past, as in the batch skip.
+// otherwise it returns 0 and changes nothing.  After that probe, every
+// slot until the next arrival is one more idle probe of the slot just
+// past, as in the batch skip.
 //
 // The stepped engine cannot know when the next arrival comes, so the
-// caller supplies it: release is called once per slot with the channel
-// time the slot consumed and returns how many arrivals that slot
-// released.  The run stops after the first slot that releases anything,
-// or after limit slots; released is that slot's count, which the caller
-// injects before the next Step.
-func (s *Stepper) IdleRun(limit int, release func(elapsed float64) int) (slots, released int) {
+// caller supplies its time, until: the run takes the slots that start
+// before until — at least one, the probe itself — and no more than limit
+// or the horizon allows, in one step however many there are.  It returns
+// the number of slots taken.  A run that was not cut short ends in the
+// slot that holds until, so the clock has then reached until and the
+// caller injects that slot's arrivals before the next Step.
+func (s *Stepper) IdleRun(limit int, until float64) int {
 	g := s.g
 	if s.finished || s.queued != 0 || limit < 1 || g.cfg.DisableFastForward || g.now >= g.cfg.EndTime {
-		return 0, 0
+		return 0
 	}
 	view := g.tracker.View(g.now, g.cfg.Tau, g.cfg.Lambda)
 	if !g.idleProbe(view) {
-		return 0, 0
+		return 0
 	}
-	for released == 0 && slots < limit && g.now < g.cfg.EndTime {
-		start := g.now
-		g.tick(1)
-		slots++
-		released = release(g.now - start)
-	}
-	g.bookIdle(int64(slots), view.TPast)
-	return slots, released
+	return int(g.skipIdle(view, until, int64(limit)))
 }
 
 // materialize converts the buffered arrival count into arrival stamps.

@@ -307,7 +307,7 @@ func TestStepperBurstInjection(t *testing.T) {
 	}
 }
 
-// IdleRun must refuse — take no slot, call no release, change nothing —
+// IdleRun must refuse — take no slot, change nothing —
 // whenever the next Step is not certainly one whole-span idle probe.
 // Each case is checked against a twin that never called IdleRun: both
 // are then driven identically and must finish identically.
@@ -350,12 +350,8 @@ func TestStepperIdleRunRefuses(t *testing.T) {
 			a, colA := build()
 			b, colB := build()
 			now, backlog := a.Now(), a.Backlog()
-			slots, released := a.IdleRun(100, func(float64) int {
-				t.Fatal("release called by a refused IdleRun")
-				return 0
-			})
-			if slots != 0 || released != 0 {
-				t.Fatalf("IdleRun = (%d, %d), want (0, 0)", slots, released)
+			if slots := a.IdleRun(100, math.Inf(1)); slots != 0 {
+				t.Fatalf("IdleRun = %d, want 0", slots)
 			}
 			if a.Now() != now || a.Backlog() != backlog {
 				t.Fatalf("refused IdleRun moved the engine: now %v→%v, backlog %d→%d", now, a.Now(), backlog, a.Backlog())
@@ -386,11 +382,11 @@ func TestStepperIdleRunRefuses(t *testing.T) {
 	if err := s.Step(); err != nil { // the start-up slot: now = 1
 		t.Fatal(err)
 	}
-	none := func(float64) int { return 0 }
-	if slots, _ := s.IdleRun(7, none); slots != 7 {
+	none := math.Inf(1) // no arrival ends the run
+	if slots := s.IdleRun(7, none); slots != 7 {
 		t.Errorf("IdleRun on an empty controlled engine took %d slots, want max = 7", slots)
 	}
-	if slots, _ := s.IdleRun(100, none); slots != 3 || s.Step() != ErrHorizon {
+	if slots := s.IdleRun(100, none); slots != 3 || s.Step() != ErrHorizon {
 		t.Errorf("IdleRun took %d slots to the horizon at 10.5 from t = 8, want 3 and then ErrHorizon", slots)
 	}
 }
@@ -399,7 +395,10 @@ func TestStepperIdleRunRefuses(t *testing.T) {
 // idle run it can, capped at varying lengths, and one that only Steps,
 // fed the same release draws, reach the same clock and cleared region
 // after every run, and the same report and collector at the end, bit for
-// bit at any τ.
+// bit at any τ.  The idle engine draws its releases slot by slot ahead of
+// the run, from the slot clock's times, on a clone of its stream, and ends
+// the run exactly on the time of the slot after the first that releases
+// anything; the clone replaces the stream once the run is taken.
 func TestStepperIdleRunMatchesSteps(t *testing.T) {
 	for _, name := range []string{"controlled", "fcfs", "lcfs", acdc.Name} {
 		for _, tau := range []float64{1, 0.37} {
@@ -428,15 +427,33 @@ func TestStepperIdleRunMatchesSteps(t *testing.T) {
 					}
 					s.Inject(rel.Poisson(cfg.Lambda * (s.Now() - before)))
 				}
-				release := func(elapsed float64) int { return relA.Poisson(cfg.Lambda * elapsed) }
+				// ahead draws the releases of the slots from now on, up
+				// to limit of them, and stops at the first that releases
+				// anything: it returns the run's end and its last
+				// slot's count.
+				ahead := func(rel *rngutil.Stream, limit int) (until float64, want, k int) {
+					g := a.g
+					for j := int64(0); j < int64(limit); j++ {
+						if k = rel.Poisson(cfg.Lambda * (g.at(g.k+j+1) - g.at(g.k+j))); k > 0 {
+							return g.at(g.k + j + 1), int(j + 1), k
+						}
+					}
+					return math.Inf(1), limit, 0
+				}
 				runs := 0
 				for i := 0; i < 40000; i++ {
-					slots, k := a.IdleRun(1+i%37, release)
+					rel := relA.Clone()
+					until, want, k := ahead(rel, 1+i%37)
+					slots := a.IdleRun(1+i%37, until)
 					if slots == 0 {
 						step(a, relA)
 						step(b, relB)
 						continue
 					}
+					if slots != want {
+						t.Fatalf("IdleRun took %d slots, want %d", slots, want)
+					}
+					relA = rel
 					a.Inject(k)
 					for j := 0; j < slots; j++ {
 						step(b, relB)
