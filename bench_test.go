@@ -242,7 +242,7 @@ func BenchmarkFigure7Analytic(b *testing.B) {
 	}
 	before := numerics.ConvolveFFTCount()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.LossGrids(ks); err != nil {
+		if _, err := model.LossGrids(ks, queueing.AllCurves); err != nil {
 			b.Fatal(err)
 		}
 	}

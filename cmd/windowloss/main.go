@@ -96,7 +96,7 @@ func gridMode(rho, m, tau float64, kms, disc string) {
 
 	switch disc {
 	case "all":
-		grids, err := model.LossGrids(ks)
+		grids, err := model.LossGrids(ks, queueing.AllCurves)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "windowloss:", err)
 			os.Exit(1)

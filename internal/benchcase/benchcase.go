@@ -36,7 +36,7 @@ type MultiCase struct {
 // SweepCase is one grid-driver workload: the harness times the same
 // space cold (empty cache, every point simulated) and warm (second run
 // on the same cache directory, every point answered from disk), so the
-// recorded points/sec pair pins both the sharded-execution and the
+// recorded points/sec pair pins both the work-queue and the
 // cache-lookup paths against regression.
 type SweepCase struct {
 	Name  string

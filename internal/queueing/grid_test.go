@@ -108,7 +108,7 @@ func TestProtocolModelGridsMatchPerK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ρ'=%v: LCFSLossGrid: %v", rhoPrime, err)
 		}
-		joint, err := m.LossGrids(ks)
+		joint, err := m.LossGrids(ks, AllCurves)
 		if err != nil {
 			t.Fatalf("ρ'=%v: LossGrids: %v", rhoPrime, err)
 		}
@@ -160,7 +160,7 @@ func TestLossGridsUnstableBaseline(t *testing.T) {
 		t.Fatalf("baseline unexpectedly stable at ρ'=1.1 (ρ=%v); pick a higher load", q.Rho())
 	}
 	ks := []float64{25, 50}
-	joint, err := m.LossGrids(ks)
+	joint, err := m.LossGrids(ks, AllCurves)
 	if err != nil {
 		t.Fatalf("LossGrids: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestLossGridsConvolutionSharing(t *testing.T) {
 	}
 
 	before := numerics.ConvolveFFTCount()
-	if _, err := m.LossGrids(ks); err != nil {
+	if _, err := m.LossGrids(ks, AllCurves); err != nil {
 		t.Fatalf("LossGrids: %v", err)
 	}
 	batched := numerics.ConvolveFFTCount() - before
@@ -215,5 +215,56 @@ func TestLossGridsConvolutionSharing(t *testing.T) {
 			batched, perK, ratio)
 	} else {
 		t.Logf("convolution sharing: %d batched vs %d per-K (%.1fx)", batched, perK, ratio)
+	}
+}
+
+// LossGrids solves only the curves it is asked for, and a curve's values
+// do not depend on which other curves ride along.  Unstable baselines
+// cost nothing: at ρ′ = 8 with K/M = 10⁶ a baselines-only call makes no
+// convolution (eq 4.7 there would tabulate 10⁸ grid points).
+func TestLossGridsCurveSelection(t *testing.T) {
+	m := ProtocolModel{Tau: 1, M: 25, RhoPrime: 0.75}
+	var ks []float64
+	for _, km := range []float64{0.05, 0.5, 1, 2, 8} {
+		ks = append(ks, km*m.M)
+	}
+	all, err := m.LossGrids(ks, AllCurves)
+	if err != nil {
+		t.Fatalf("LossGrids(AllCurves): %v", err)
+	}
+	for want := Curves(1); want <= AllCurves; want++ {
+		got, err := m.LossGrids(ks, want)
+		if err != nil {
+			t.Fatalf("LossGrids(%03b): %v", want, err)
+		}
+		if (got.Controlled != nil) != (want&CurveControlled != 0) ||
+			(got.FCFS != nil) != (want&CurveFCFS != 0) || (got.LCFS != nil) != (want&CurveLCFS != 0) {
+			t.Fatalf("LossGrids(%03b): curves present controlled=%v fcfs=%v lcfs=%v",
+				want, got.Controlled != nil, got.FCFS != nil, got.LCFS != nil)
+		}
+		for i, k := range ks {
+			if got.Controlled != nil && got.Controlled[i] != all.Controlled[i] {
+				t.Errorf("LossGrids(%03b) K=%v: controlled %+v, %+v with every curve", want, k, got.Controlled[i], all.Controlled[i])
+			}
+			if got.FCFS != nil && math.Float64bits(got.FCFS[i]) != math.Float64bits(all.FCFS[i]) {
+				t.Errorf("LossGrids(%03b) K=%v: fcfs %.17g, %.17g with every curve", want, k, got.FCFS[i], all.FCFS[i])
+			}
+			if got.LCFS != nil && math.Float64bits(got.LCFS[i]) != math.Float64bits(all.LCFS[i]) {
+				t.Errorf("LossGrids(%03b) K=%v: lcfs %.17g, %.17g with every curve", want, k, got.LCFS[i], all.LCFS[i])
+			}
+		}
+	}
+
+	over := ProtocolModel{Tau: 1, M: 25, RhoPrime: 8}
+	before := numerics.ConvolveFFTCount()
+	got, err := over.LossGrids([]float64{25e6}, CurveFCFS|CurveLCFS)
+	if err != nil {
+		t.Fatalf("ρ′=8 baselines: %v", err)
+	}
+	if n := numerics.ConvolveFFTCount() - before; n != 0 {
+		t.Errorf("ρ′=8 baselines: %d convolutions for an unstable queue, want 0", n)
+	}
+	if got.Controlled != nil || !math.IsNaN(got.FCFS[0]) || !math.IsNaN(got.LCFS[0]) {
+		t.Errorf("ρ′=8 baselines: controlled %v, fcfs %v, lcfs %v; want nil, NaN, NaN", got.Controlled, got.FCFS[0], got.LCFS[0])
 	}
 }

@@ -239,8 +239,19 @@ func (m ProtocolModel) LCFSLossGrid(ks []float64) ([]float64, error) {
 	return q.LossLCFSGrid(ks)
 }
 
-// GridLosses carries the three analytic loss curves of one constraint
-// grid — the full analytic content of a figure-7 panel.
+// Curves selects the analytic curves LossGrids solves.
+type Curves uint8
+
+// Curves values; combine them with |.
+const (
+	CurveControlled Curves = 1 << iota // eq 4.7
+	CurveFCFS                          // the Beneš series
+	CurveLCFS                          // the transform inversion
+	AllCurves       = CurveControlled | CurveFCFS | CurveLCFS
+)
+
+// GridLosses carries the analytic loss curves of one constraint grid —
+// with AllCurves, the full analytic content of a figure-7 panel.
 type GridLosses struct {
 	// Controlled is the eq 4.7 result at each constraint.
 	Controlled []Result
@@ -248,30 +259,45 @@ type GridLosses struct {
 	// uncontrolled queue is unstable (ρ ≥ 1, no steady state) or, for
 	// LCFS, when the transform inversion fails at a point.
 	FCFS, LCFS []float64
+	// A curve LossGrids was not asked for is nil.
 }
 
-// LossGrids evaluates all three analytic curves on one constraint grid
-// with maximal convolution sharing: beyond the per-curve batching of
+// LossGrids evaluates the curves of want on one constraint grid with
+// maximal convolution sharing.  Beyond the per-curve batching of
 // ControlledLossGrid and FCFSLossGrid, the eq 4.7 z-series and the FCFS
-// Beneš series integrate powers of the *same* residual density β wherever
-// the controlled window is uncapped (G = G*, the same window content the
-// baselines always use), so both curves ride a single convolution series
-// there.  This is the analytic engine behind sim.Figure7Panel.
-func (m ProtocolModel) LossGrids(ks []float64) (GridLosses, error) {
+// Beneš series integrate powers of the *same* residual density β
+// wherever the controlled window is uncapped (G = G*, the same window
+// content the baselines always use), so both curves ride a single
+// convolution series there.  The baselines are not solved at all when
+// the uncontrolled queue is unstable.  When the call succeeds, a curve's
+// values do not depend on which other curves are in want.  This is the
+// analytic engine behind sim.Figure7Panel and the sweep's analytic
+// column.
+func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) {
 	if err := m.validate(); err != nil {
 		return GridLosses{}, err
 	}
-	out := GridLosses{
-		Controlled: make([]Result, len(ks)),
-		FCFS:       make([]float64, len(ks)),
-		LCFS:       make([]float64, len(ks)),
-	}
-	for i, k := range ks {
+	for _, k := range ks {
 		if k <= 0 {
 			return GridLosses{}, fmt.Errorf("queueing: constraint K=%v must be positive", k)
 		}
-		out.FCFS[i] = math.NaN()
-		out.LCFS[i] = math.NaN()
+	}
+	nanFilled := func() []float64 {
+		v := make([]float64, len(ks))
+		for i := range v {
+			v[i] = math.NaN()
+		}
+		return v
+	}
+	var out GridLosses
+	if want&CurveControlled != 0 {
+		out.Controlled = make([]Result, len(ks))
+	}
+	if want&CurveFCFS != 0 {
+		out.FCFS = nanFilled()
+	}
+	if want&CurveLCFS != 0 {
+		out.LCFS = nanFilled()
 	}
 	lambda := m.Lambda()
 	gStar := OptimalWindowContent()
@@ -294,11 +320,19 @@ func (m ProtocolModel) LossGrids(ks []float64) (GridLosses, error) {
 		laws[g] = l
 		return l, nil
 	}
-	starLaw, err := lawFor(gStar)
-	if err != nil {
-		return GridLosses{}, err
+	// The baselines run on the uncapped law G*; an unstable one has no
+	// steady state, so its curves stay NaN.
+	var starLaw lawInfo
+	fcfs, lcfs := out.FCFS != nil, out.LCFS != nil
+	if fcfs || lcfs {
+		var err error
+		if starLaw, err = lawFor(gStar); err != nil {
+			return GridLosses{}, err
+		}
+		if lambda*starLaw.xbar >= 1 {
+			fcfs, lcfs = false, false
+		}
 	}
-	baselineStable := lambda*starLaw.xbar < 1
 
 	// Bucket the work by (window content, quadrature step): every request
 	// in a bucket shares one β tabulation and one convolution series.
@@ -333,13 +367,15 @@ func (m ProtocolModel) LossGrids(ks []float64) (GridLosses, error) {
 		}
 	}
 	for i, k := range ks {
-		g := m.WindowContent(k)
-		law, err := lawFor(g)
-		if err != nil {
-			return GridLosses{}, err
+		if out.Controlled != nil {
+			g := m.WindowContent(k)
+			law, err := lawFor(g)
+			if err != nil {
+				return GridLosses{}, err
+			}
+			add(g, law.xbar, k, i, false)
 		}
-		add(g, law.xbar, k, i, false)
-		if baselineStable {
+		if fcfs {
 			add(gStar, starLaw.xbar, k, i, true)
 		}
 	}
@@ -385,7 +421,7 @@ func (m ProtocolModel) LossGrids(ks []float64) (GridLosses, error) {
 		}
 	}
 
-	if baselineStable {
+	if lcfs {
 		lq := MG1{Lambda: lambda, Service: starLaw.svc, Step: m.Step}
 		for i, k := range ks {
 			if loss, err := lq.LossLCFS(k); err == nil {

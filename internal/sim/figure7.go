@@ -236,7 +236,7 @@ func Figure7Panels(specs []PanelSpec, opt SimOptions) ([]Panel, error) {
 		// One analytic job per panel: all three curves ride the batched
 		// multi-K solver, sharing convolution series across the grid.
 		jobs = append(jobs, func() error {
-			grids, err := model.LossGrids(ks)
+			grids, err := model.LossGrids(ks, queueing.AllCurves)
 			if err != nil {
 				return fmt.Errorf("panel rho'=%v M=%v: controlled loss: %w",
 					spec.RhoPrime, spec.M, err)

@@ -192,8 +192,19 @@ func FuzzEngineIdentities(f *testing.F) {
 			multi(func(c *MultiConfig) { c.DisableFastForward, c.Workers = true, 1 }))
 		sameRun(t, name+": "+"per-station engine at 1 vs 3 workers", dense,
 			multi(func(c *MultiConfig) { c.forceDense, c.Workers = true, 3 }))
-		sameRun(t, name+": "+"Poisson RunMultiStation vs RunGlobal", shared,
-			runIdentity(mk(), func(c MultiConfig) (Report, error) { return RunGlobal(c.Config) }))
+		global := func(descend bool) identityRun {
+			return runIdentity(mk(), func(c MultiConfig) (Report, error) {
+				g, err := newGlobalState(c.Config)
+				if err != nil {
+					return Report{}, err
+				}
+				g.descend = g.descend && descend
+				return g.run()
+			})
+		}
+		withDescent := global(true)
+		sameRun(t, name+": "+"Poisson RunMultiStation vs RunGlobal", shared, withDescent)
+		sameRun(t, name+": "+"two-key descent on vs off", withDescent, global(false))
 		idleRunIdentity(t, name, mk, limit, until)
 	})
 }

@@ -2,8 +2,8 @@
 // turns a typed parameter space over (ρ′, M, K, discipline, feedback-
 // error rate, replications) into canonical per-point configurations,
 // addresses every point's result by a content hash of that
-// configuration, and executes cache misses over a sharded worker driver
-// that saturates all cores while staying bit-identical to a serial run.
+// configuration, and executes cache misses from one work queue that
+// saturates all cores while staying bit-identical to a serial run.
 //
 // The paper's figure-7 panel is 18 points; the production questions the
 // ROADMAP asks — loss and degradation surfaces over the full parameter
@@ -33,6 +33,17 @@
 //     Result, so emitted CSV is byte-identical across worker counts and
 //     across cold/warm cache runs — pinned by tests and by the CI smoke
 //     job.
+//
+// The analytic column is solved once per (τ, M, ρ′) group, not once per
+// point: one queueing.ProtocolModel.LossGrids call over the space's
+// whole K axis serves every constraint, error rate and discipline of the
+// group, sharing one convolution series where the per-point solves would
+// each run their own.  The call's input is fixed by the space's τ and K
+// axis, so a point's analytic value is exact (bit for bit the same)
+// within one space, whichever of its points were cached.  Across spaces
+// with different K axes the quadrature grids differ in length, and the
+// same point's value agrees within 1e-12, as it does with a per-point
+// solve.
 package sweep
 
 import (

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -166,38 +167,59 @@ func TestKeyPinned(t *testing.T) {
 		Tau: 1, RhoPrime: 0.5, M: 25, KOverM: 2,
 		Discipline: "controlled", Seed: 1, Messages: 1000, Replications: 1,
 	}
-	const want = "54481c467d74fad4d6e0fb6a914cc5d51470a0eae161c9d28dcdd1c22c4935c1"
+	const want = "54fedf71f12d756af604c308c0f8990aece89bceaa510f80d1107ebab8f70dc8"
 	if got := p.Key(); got != want {
 		t.Fatalf("pinned key changed:\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestRunDeterministicAcrossWorkersAndCache is the tentpole acceptance
-// test: outcomes — and the CSV emitted from them — must be
-// bit-identical across worker counts and across cold/warm cache runs.
+// test: outcomes must be bit-identical — every Result field, and the CSV
+// emitted from them — across worker counts and across cold, warm and
+// partially warm cache runs.
 func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
 	s := testSpace()
-	serial := mustRun(t, s, Options{Workers: 1})
-	sharded := mustRun(t, s, Options{Workers: 4})
+	runs := map[string][]Outcome{}
+	for _, w := range []int{1, 2, 3, 7} {
+		runs[fmt.Sprintf("workers=%d", w)] = mustRun(t, s, Options{Workers: w})
+	}
 
 	dir := t.TempDir()
 	cold, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOuts := mustRun(t, s, Options{Workers: 3, Cache: cold})
+	runs["cold-cache"] = mustRun(t, s, Options{Workers: 3, Cache: cold})
 	warm, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmOuts := mustRun(t, s, Options{Workers: 2, Cache: warm})
-
+	runs["warm-cache"] = warmOuts
 	if st := warm.Stats(); st.Misses != 0 || st.Hits != int64(len(warmOuts)) {
 		t.Fatalf("warm run not fully cached: %+v", st)
 	}
 	for i := range warmOuts {
 		if !warmOuts[i].Cached {
 			t.Fatalf("warm outcome %d not marked cached", i)
+		}
+	}
+
+	// A partially warm cache: a grid with a subset of the loads and the
+	// same K axis answers some groups' points, the rest are computed.
+	sub := s
+	sub.Loads = s.Loads[1:]
+	partial, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, sub, Options{Workers: 2, Cache: partial})
+	partialOuts := mustRun(t, s, Options{Workers: 3, Cache: partial})
+	runs["partial-cache"] = partialOuts
+	for _, o := range partialOuts {
+		if want := o.Point.RhoPrime != s.Loads[0]; o.Cached != want {
+			t.Fatalf("partial cache: point ρ′=%v K/M=%v %s cached=%v, want %v",
+				o.Point.RhoPrime, o.Point.KOverM, o.Point.Discipline, o.Cached, want)
 		}
 	}
 
@@ -214,10 +236,19 @@ func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
 		}
 		return long.String() + "\x00" + wide.String() + "\x00" + heat.String()
 	}
+	serial := runs["workers=1"]
 	ref := emit(serial)
-	for name, outs := range map[string][]Outcome{
-		"sharded": sharded, "cold-cache": coldOuts, "warm-cache": warmOuts,
-	} {
+	for name, outs := range runs {
+		for i := range outs {
+			// %+v prints each float in its shortest exact form, so
+			// equal strings mean equal bits.
+			got, want := fmt.Sprintf("%+v", outs[i].Result), fmt.Sprintf("%+v", serial[i].Result)
+			if got != want {
+				p := outs[i].Point
+				t.Errorf("%s: point ρ′=%v M=%v K/M=%v ε=%v %s:\n got %s\nwant %s (serial)",
+					name, p.RhoPrime, p.M, p.KOverM, p.ErrorRate, p.Discipline, got, want)
+			}
+		}
 		if got := emit(outs); got != ref {
 			t.Errorf("%s emission differs from serial", name)
 		}
