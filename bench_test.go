@@ -179,8 +179,7 @@ func BenchmarkFigure7(b *testing.B) {
 				panel, err = windowctl.Figure7Panel(spec, windowctl.Figure7Options{
 					Seed:      7,
 					Baselines: true,
-					EndTime:   benchSimEnd * spec.M / 25,
-					Warmup:    benchSimEnd / 10 * spec.M / 25,
+					Messages:  benchSimEnd * spec.RhoPrime / 25,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -209,8 +208,7 @@ func BenchmarkFigure7AllPanels(b *testing.B) {
 	opt := windowctl.Figure7Options{
 		Seed:      7,
 		Baselines: true,
-		EndTime:   benchSimEnd,
-		Warmup:    benchSimEnd / 10,
+		Messages:  benchSimEnd / 50,
 	}
 	for _, c := range []struct {
 		name    string

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	figures [-panel all|RHO,M] [-sim] [-baselines] [-metrics] [-messages N]
-//	        [-seed S] [-parallel] [-workers N] [-protocol NAME]
+//	        [-seed S] [-workers N] [-protocol NAME]
 //	        [-degradation] [-error-rates 0,0.01,...]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -18,7 +18,7 @@
 //	figures -sim -baselines        # also simulate FCFS and LCFS
 //	figures -panel 0.75,25 -sim    # a single panel
 //	figures -sim -metrics          # print per-run slot metrics tables too
-//	figures -sim -parallel=false   # force sequential evaluation
+//	figures -sim -workers 1        # sequential evaluation
 //	figures -degradation           # loss vs. feedback-error rate per panel
 //	figures -protocol tournament -panel 0.5,25   # a zoo protocol's curve
 //
@@ -37,9 +37,10 @@
 // counters of every faulty run are printed too, each run's conservation
 // invariants verified.
 //
-// Evaluation is parallel by default: the per-panel analytic solves and
-// per-(constraint, protocol) simulation runs are fanned over a bounded
-// worker pool.  The output is bit-identical to -parallel=false.
+// Each panel is a view over the sweep grid engine: its analytic solve and
+// per-(constraint, protocol) simulation runs are spread over -workers
+// goroutines (0 = GOMAXPROCS).  The output is bit-identical at every
+// worker count, -workers 1 included.
 //
 // -metrics (which implies -sim) attaches a slot-level collector to every
 // simulation run and prints each panel's metrics table — idle / success /
@@ -67,8 +68,7 @@ func main() {
 	chartFlag := flag.Bool("chart", false, "render each panel as an ASCII chart too")
 	messages := flag.Float64("messages", 1e5, "approximate offered messages per simulation run")
 	seed := flag.Uint64("seed", 1983, "simulation seed")
-	parallel := flag.Bool("parallel", true, "evaluate panels over a worker pool (output is identical either way)")
-	workers := flag.Int("workers", 0, "worker count for -parallel (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
 	metricsFlag := flag.Bool("metrics", false, "collect and print per-run slot metrics (implies -sim; verifies conservation invariants)")
 	protoFlag := flag.String("protocol", "", "registered protocol for the simulated curve (implies -sim; empty = controlled): "+strings.Join(windowctl.ProtocolNames(), " | "))
 	degradation := flag.Bool("degradation", false, "evaluate loss vs. feedback-error rate instead of the figure-7 curves")
@@ -122,9 +122,6 @@ func main() {
 		Workers:   *workers,
 		Metrics:   *metricsFlag,
 		Protocol:  *protoFlag,
-	}
-	if !*parallel {
-		opt.Workers = 1
 	}
 
 	if *degradation {

@@ -41,10 +41,10 @@
 // -error-rates) injects those rates into every simulated point, as
 // before.  Analytic columns always stay perfect-feedback for comparison.
 //
-// With -sim -metrics one shared slot-level collector aggregates every
-// executed simulation run of the grid — each run is still individually
-// verified against the conservation invariants — and the grid totals are
-// printed to stderr after the CSV, so the CSV on stdout stays clean.
+// With -sim -metrics every executed simulation run of the grid gets its
+// own slot-level collector, verified against the conservation
+// invariants, and their merged grid totals are printed to stderr after
+// the CSV, so the CSV on stdout stays clean.
 // Cache hits contribute nothing to -metrics: their runs happened in an
 // earlier sweep.  -cpuprofile and -memprofile write pprof profiles.
 package main
@@ -204,10 +204,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}()
 
-	opt := sweep.Options{Workers: *workers, MaxPoints: *points}
-	if *metricsFlag {
-		opt.Metrics = &windowctl.SlotMetrics{}
-	}
+	opt := sweep.Options{Workers: *workers, MaxPoints: *points, Metrics: *metricsFlag}
 	if *cacheDir != "" {
 		if opt.Cache, err = sweep.Open(*cacheDir); err != nil {
 			return err
@@ -237,8 +234,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if opt.Metrics != nil {
-		fmt.Fprintf(stderr, "grid slot metrics (every executed run's invariants verified)\n%s", opt.Metrics.Format())
+	if opt.Metrics {
+		var grid windowctl.SlotMetrics
+		for _, o := range outs {
+			if o.Metrics != nil {
+				grid.Merge(o.Metrics)
+			}
+		}
+		fmt.Fprintf(stderr, "grid slot metrics (every executed run's invariants verified)\n%s", grid.Format())
 	}
 	if *cacheStats {
 		st := opt.Cache.Stats()

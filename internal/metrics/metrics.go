@@ -29,8 +29,8 @@
 // package's agreement tests).
 //
 // A SlotMetrics is not safe for concurrent use; give each concurrent
-// run its own collector (as sim.Figure7Panels does) and Merge the
-// results afterwards if aggregate numbers are wanted.
+// run its own collector (as sweep.Run does under Options.Metrics) and
+// Merge the results afterwards if aggregate numbers are wanted.
 package metrics
 
 import (

@@ -271,8 +271,8 @@ type GridLosses struct {
 // convolution series there.  The baselines are not solved at all when
 // the uncontrolled queue is unstable.  When the call succeeds, a curve's
 // values do not depend on which other curves are in want.  This is the
-// analytic engine behind sim.Figure7Panel and the sweep's analytic
-// column.
+// analytic engine behind the sweep's analytic column, and so behind the
+// figure-7 panels, which are views over sweep.Run.
 func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) {
 	if err := m.validate(); err != nil {
 		return GridLosses{}, err

@@ -2,13 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"windowctl/internal/fault"
 	"windowctl/internal/metrics"
-	"windowctl/internal/queueing"
-	"windowctl/internal/rngutil"
 )
 
 // DefaultErrorRates is the standard feedback-error grid of the
@@ -16,15 +13,16 @@ import (
 // perfect-feedback baseline.
 var DefaultErrorRates = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 
-// DegradationOptions parameterizes DegradationPanels.  The embedded
-// SimOptions keep their meaning (horizon, seed, metrics, workers,
-// protocol — Protocol swaps which registered protocol degrades);
-// Disable and Baselines are ignored — the degradation mode simulates
-// one protocol only.
+// DegradationOptions parameterizes sweep.DegradationPanels.  The
+// embedded SimOptions keep their meaning (horizon, seed, metrics,
+// workers, protocol — Protocol swaps which protocol degrades); Disable
+// and Baselines are ignored — the degradation mode simulates one
+// protocol only.
 type DegradationOptions struct {
 	SimOptions
 	// ErrorRates is the feedback-error grid ε; empty means
-	// DefaultErrorRates.  Each entry must lie in [0, 1].
+	// DefaultErrorRates.  Each entry must lie in [0, 1], without
+	// duplicates.
 	ErrorRates []float64
 	// Mix sets the relative weight of the three fault kinds: at grid
 	// value ε the injected rates are Mix.Scale(ε).  The zero value means
@@ -33,11 +31,6 @@ type DegradationOptions struct {
 	// probabilities.
 	Mix fault.Rates
 }
-
-// degradationFaultTag separates the fault schedule's seed stream from the
-// simulation seed it is derived from.  Like the proto* tags it is part of
-// the reproducibility contract.
-const degradationFaultTag = 0xfee0
 
 // DegradationPoint is one (constraint, error-rate) cell of a curve.
 type DegradationPoint struct {
@@ -71,111 +64,6 @@ type DegradationPanel struct {
 	// Protocol names the protocol that degraded (SimOptions.Protocol;
 	// "controlled" when it was left empty).
 	Protocol string
-}
-
-// DegradationPanels evaluates loss-versus-feedback-error curves for the
-// given panels: for every (constraint, error rate) cell one controlled-
-// protocol run with fault injection at Mix.Scale(rate).  Three
-// reproducibility properties are part of the contract, all enforced by
-// tests: results are bit-identical at any Workers count (work-item seeds
-// derive from item identity, not scheduling order); the rate-0 column is
-// bit-identical to the corresponding Figure7Panels simulation (same item
-// seed, fault layer disabled); and all rates of one constraint share one
-// simulation seed (common random numbers), so a cell differs from its
-// neighbour only through the injected faults.
-func DegradationPanels(specs []PanelSpec, opt DegradationOptions) ([]DegradationPanel, error) {
-	rates := opt.ErrorRates
-	if len(rates) == 0 {
-		rates = append([]float64(nil), DefaultErrorRates...)
-	}
-	for _, r := range rates {
-		if r < 0 || r > 1 || math.IsNaN(r) {
-			return nil, fmt.Errorf("sim: error rate %v outside [0, 1]", r)
-		}
-	}
-	mix := opt.Mix
-	if mix.Zero() {
-		mix = fault.Rates{Erasure: 1, FalseCollision: 1, MissedCollision: 1}
-	}
-	if err := mix.Validate(); err != nil {
-		return nil, err
-	}
-
-	simProto := opt.Protocol
-	if simProto == "" {
-		simProto = "controlled"
-	}
-	panels := make([]DegradationPanel, len(specs))
-	var jobs []func() error
-	for pi := range specs {
-		spec := specs[pi].withDefaults()
-		model := queueing.ProtocolModel{Tau: spec.Tau, M: spec.M, RhoPrime: spec.RhoPrime}
-		lambda := model.Lambda()
-		gStar := queueing.OptimalWindowContent()
-
-		endTime := opt.EndTime
-		if endTime == 0 {
-			messages := opt.Messages
-			if messages == 0 {
-				messages = 1e5
-			}
-			endTime = messages / lambda
-		}
-		warmup := opt.Warmup
-		if warmup == 0 {
-			warmup = endTime / 20
-		}
-
-		rows := make([]DegradationRow, len(spec.KOverM))
-		panels[pi] = DegradationPanel{Spec: spec, Rates: append([]float64(nil), rates...), Protocol: simProto}
-		panels[pi].Rows = rows
-		for i, km := range spec.KOverM {
-			i := i
-			k := km * spec.M * spec.Tau
-			rows[i] = DegradationRow{KOverM: km, K: k, Points: make([]DegradationPoint, len(rates))}
-			pts := rows[i].Points
-			// One simulation seed per constraint, shared by every rate of
-			// the row — and equal to the Figure7Panels item seed, pinning
-			// the ε = 0 cell to the perfect-feedback baseline bit for bit.
-			simSeed := itemSeed(opt.Seed, spec, i, protoControlled)
-			faultSeed := rngutil.Mix64(simSeed, degradationFaultTag)
-			for j, rate := range rates {
-				j, rate := j, rate
-				jobs = append(jobs, func() error {
-					pol, err := simPolicy(simProto, spec, lambda, k, gStar, simSeed)
-					if err != nil {
-						return fmt.Errorf("panel rho'=%v M=%v: %w", spec.RhoPrime, spec.M, err)
-					}
-					cfg := Config{
-						Policy: pol,
-						Tau:    spec.Tau, M: spec.M, Lambda: lambda, K: k,
-						EndTime: endTime, Warmup: warmup, Seed: simSeed,
-						Faults: fault.Config{Rates: mix.Scale(rate), Seed: faultSeed},
-					}
-					var sm *metrics.SlotMetrics
-					if opt.Metrics {
-						sm = metrics.NewSlotMetrics(spec.Tau, int(k/spec.Tau)+64)
-						cfg.Collector = sm
-					}
-					rep, err := RunGlobal(cfg)
-					if err != nil {
-						return fmt.Errorf("panel rho'=%v M=%v: degradation run at K=%v rate=%v: %w",
-							spec.RhoPrime, spec.M, k, rate, err)
-					}
-					lo, hi := rep.LossCI(0.95)
-					pts[j] = DegradationPoint{
-						Rate: rate, Rates: cfg.Faults.Rates,
-						Loss: rep.Loss(), Lo: lo, Hi: hi, Metrics: sm,
-					}
-					return nil
-				})
-			}
-		}
-	}
-	if err := runJobs(jobs, opt.Workers); err != nil {
-		return nil, err
-	}
-	return panels, nil
 }
 
 // Format renders the panel as an aligned text table: one row per

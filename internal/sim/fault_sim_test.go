@@ -162,103 +162,3 @@ func TestFaultsRejectRateEstimator(t *testing.T) {
 		t.Fatal("out-of-range fault rate accepted")
 	}
 }
-
-// degradationSpec is the small panel the degradation tests evaluate.
-var degradationSpec = PanelSpec{RhoPrime: 0.5, M: 25, KOverM: []float64{2, 4}}
-
-// TestDegradationRateZeroMatchesFigure7 pins the anchoring contract: the
-// ε = 0 column of a degradation curve is the perfect-feedback simulation
-// of the same seed, bit for bit.
-func TestDegradationRateZeroMatchesFigure7(t *testing.T) {
-	opt := SimOptions{Messages: 4000, Seed: 1983}
-	baseline, err := Figure7Panels([]PanelSpec{degradationSpec}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves, err := DegradationPanels([]PanelSpec{degradationSpec}, DegradationOptions{
-		SimOptions: opt, ErrorRates: []float64{0, 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range curves[0].Rows {
-		want := baseline[0].Points[i].SimControlled
-		if got := row.Points[0].Loss; got != want {
-			t.Errorf("K/M=%v: rate-0 loss %v != figure-7 simulation %v", row.KOverM, got, want)
-		}
-		if lo, hi := row.Points[0].Lo, row.Points[0].Hi; lo != baseline[0].Points[i].SimLo || hi != baseline[0].Points[i].SimHi {
-			t.Errorf("K/M=%v: rate-0 CI differs from figure-7 simulation", row.KOverM)
-		}
-	}
-}
-
-// TestDegradationDeterministicAcrossWorkers runs the same degradation
-// evaluation sequentially and with a worker pool: the fault schedules are
-// counter-based and item seeds identity-derived, so the results must be
-// bit-identical at any worker count.
-func TestDegradationDeterministicAcrossWorkers(t *testing.T) {
-	opt := DegradationOptions{
-		SimOptions: SimOptions{Messages: 3000, Seed: 7},
-		ErrorRates: []float64{0, 0.05, 0.1},
-	}
-	seq := opt
-	seq.Workers = 1
-	par := opt
-	par.Workers = 4
-	a, err := DegradationPanels([]PanelSpec{degradationSpec}, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DegradationPanels([]PanelSpec{degradationSpec}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("worker count changed the degradation curve:\n%v\n%v", a, b)
-	}
-}
-
-// TestDegradationMonotone checks the headline property of the curve: at a
-// fixed constraint, loss does not decrease as the feedback-error rate
-// grows.  The grid shares one simulation seed per constraint and one
-// fault-word stream across rates (nested fault schedules — common random
-// numbers), so the comparison is far less noisy than independent runs; a
-// small slack still absorbs the residual divergence.
-func TestDegradationMonotone(t *testing.T) {
-	curves, err := DegradationPanels([]PanelSpec{degradationSpec}, DegradationOptions{
-		SimOptions: SimOptions{Messages: 6000, Seed: 1983},
-		ErrorRates: []float64{0, 0.05, 0.15},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range curves[0].Rows {
-		for j := 1; j < len(row.Points); j++ {
-			prev, cur := row.Points[j-1], row.Points[j]
-			if cur.Loss < prev.Loss-0.005 {
-				t.Errorf("K/M=%v: loss fell from %.5f (eps=%v) to %.5f (eps=%v)",
-					row.KOverM, prev.Loss, prev.Rate, cur.Loss, cur.Rate)
-			}
-		}
-		if last := row.Points[len(row.Points)-1]; last.Loss <= row.Points[0].Loss {
-			t.Errorf("K/M=%v: heavy faults did not raise loss (%.5f -> %.5f)",
-				row.KOverM, row.Points[0].Loss, last.Loss)
-		}
-	}
-}
-
-// TestDegradationValidation rejects out-of-range grids and mixes.
-func TestDegradationValidation(t *testing.T) {
-	if _, err := DegradationPanels([]PanelSpec{degradationSpec}, DegradationOptions{
-		SimOptions: SimOptions{Messages: 1000},
-		ErrorRates: []float64{-0.1},
-	}); err == nil {
-		t.Fatal("negative error rate accepted")
-	}
-	if _, err := DegradationPanels([]PanelSpec{degradationSpec}, DegradationOptions{
-		SimOptions: SimOptions{Messages: 1000},
-		Mix:        fault.Rates{Erasure: 2},
-	}); err == nil {
-		t.Fatal("out-of-range mix weight accepted")
-	}
-}

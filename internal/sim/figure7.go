@@ -3,15 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
 	"windowctl/internal/metrics"
-	"windowctl/internal/protocol"
-	"windowctl/internal/queueing"
-	"windowctl/internal/rngutil"
-	"windowctl/internal/window"
 )
 
 // PanelSpec identifies one panel of the paper's figure 7: a (ρ′, M) pair
@@ -43,7 +37,8 @@ func AllPanels() []PanelSpec {
 	return out
 }
 
-func (p PanelSpec) withDefaults() PanelSpec {
+// WithDefaults returns the spec with Tau and KOverM defaulted.
+func (p PanelSpec) WithDefaults() PanelSpec {
 	if p.Tau == 0 {
 		p.Tau = 1
 	}
@@ -90,278 +85,41 @@ type Panel struct {
 	Protocol string
 }
 
-// SimOptions controls the simulation side of the harness.
+// SimOptions controls the simulation side of the harness.  The panels
+// are evaluated by sweep.Figure7Panels, a view over the sweep grid
+// engine: every option maps onto a sweep.Space or sweep.Options field.
 type SimOptions struct {
 	// Disable skips all simulation (analytic curves only).
 	Disable bool
 	// Baselines additionally simulates the FCFS and LCFS protocols.
 	Baselines bool
-	// EndTime and Warmup configure each run; zero values choose horizons
-	// long enough for ~Messages offered messages.
-	EndTime, Warmup float64
-	// Messages is the target number of offered messages per run used to
-	// derive the horizon when EndTime is zero; 0 means 1e5.
+	// Messages is the target number of offered messages per run, which
+	// sets its horizon; 0 means 1e5.  Each run's warmup is a twentieth
+	// of its horizon.
 	Messages float64
-	// Seed drives the runs.
+	// Seed drives the runs; each run's stream derives from Seed and the
+	// run's operating point (see sweep.Point), so it must be nonzero
+	// whenever anything is simulated.
 	Seed uint64
-	// Metrics attaches a fresh metrics.SlotMetrics to every simulation
-	// run and surfaces it on the resulting Point, so per-panel slot,
+	// Metrics attaches a fresh metrics.SlotMetrics (without a wait
+	// histogram) to every simulation run and surfaces it on the
+	// resulting Point, so per-panel slot,
 	// utilization and discard accounting (the §4.2 quantities) comes out
 	// of the pipeline itself; every instrumented run's conservation
 	// invariants are checked and a violation fails the evaluation.
 	Metrics bool
-	// Workers bounds the number of work items (one per constraint and
-	// protocol, plus one analytic job per panel) evaluated concurrently;
+	// Workers bounds the number of runs (one per constraint and
+	// protocol, plus the panel's analytic solve) evaluated concurrently;
 	// 0 means GOMAXPROCS, 1 means sequential.  The output is
-	// bit-identical at every worker count: each item's random stream is
-	// derived from the item's identity, never from scheduling order.
+	// bit-identical at every worker count: each run's random stream is
+	// derived from its operating point, never from scheduling order.
 	Workers int
-	// Protocol selects which registered protocol (see internal/protocol)
-	// the main simulated curve runs; empty means "controlled", keeping
-	// the paper's pipeline bit-identical to before the plugin registry
-	// existed.  The analytic curves and the FCFS/LCFS baselines are
-	// unaffected — they are the fixed comparison yardstick.
+	// Protocol names the discipline (core.Discipline.String: a builtin
+	// or zoo protocol of internal/protocol) the main simulated curve
+	// runs; empty means "controlled".  The analytic curves and the
+	// FCFS/LCFS baselines are unaffected — they are the fixed comparison
+	// yardstick.
 	Protocol string
-}
-
-// Work-item protocol tags mixed into per-item seeds.  The values are part
-// of the reproducibility contract: changing them changes every simulated
-// curve.
-const (
-	protoControlled = iota
-	protoFCFS
-	protoLCFS
-)
-
-// itemSeed derives the random seed of one simulation work item from the
-// base seed and the item's full identity.  Seeding by identity rather
-// than by loop position keeps every run reproducible under any worker
-// count and under re-slicing of the panel list, and the SplitMix64
-// avalanche keeps neighbouring items (same panel, adjacent constraints)
-// statistically independent — unlike the XOR of truncated parameters it
-// replaces, which collided whenever K/M·1024 and M shared bits.
-func itemSeed(seed uint64, spec PanelSpec, kIndex, proto int) uint64 {
-	return rngutil.Mix64(seed,
-		math.Float64bits(spec.RhoPrime),
-		math.Float64bits(spec.M),
-		math.Float64bits(spec.Tau),
-		uint64(kIndex),
-		uint64(proto),
-	)
-}
-
-// simPolicy materializes one simulation work item's protocol through
-// the plugin registry.  The builtin builders reproduce the pre-registry
-// construction exactly (pinned by the engine goldens), so routing the
-// controlled curve and the FCFS/LCFS baselines through here changes no
-// bits; named zoo protocols slot into the same pipeline.
-func simPolicy(name string, spec PanelSpec, lambda, k, gStar float64, seed uint64) (window.Policy, error) {
-	return protocol.Build(name, protocol.Params{
-		Tau: spec.Tau, M: spec.M, Lambda: lambda, K: k, G: gStar, Seed: seed,
-	})
-}
-
-// runJobs executes the jobs over a bounded worker pool and returns the
-// lowest-indexed error, independent of scheduling order.  Each job owns
-// the memory it writes, so the only synchronization needed is the final
-// barrier.
-func runJobs(jobs []func() error, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, len(jobs))
-	if workers <= 1 {
-		for i, job := range jobs {
-			errs[i] = job()
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = jobs[i]()
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Figure7Panels evaluates a set of panels by fanning the work — one
-// batched analytic solve per panel plus one simulation run per
-// (constraint, protocol) — over a bounded worker pool.  Results are
-// bit-identical to sequential evaluation (Workers: 1); see
-// SimOptions.Workers.  This is the driver behind cmd/figures -parallel.
-func Figure7Panels(specs []PanelSpec, opt SimOptions) ([]Panel, error) {
-	simProto := opt.Protocol
-	if simProto == "" {
-		simProto = "controlled"
-	}
-	panels := make([]Panel, len(specs))
-	var jobs []func() error
-
-	for pi := range specs {
-		spec := specs[pi].withDefaults()
-		model := queueing.ProtocolModel{Tau: spec.Tau, M: spec.M, RhoPrime: spec.RhoPrime}
-		lambda := model.Lambda()
-		gStar := queueing.OptimalWindowContent()
-
-		pts := make([]Point, len(spec.KOverM))
-		ks := make([]float64, len(spec.KOverM))
-		for i, km := range spec.KOverM {
-			ks[i] = km * spec.M * spec.Tau
-			pts[i] = Point{KOverM: km, K: ks[i],
-				FCFS: math.NaN(), LCFS: math.NaN(),
-				SimControlled: math.NaN(), SimLo: math.NaN(), SimHi: math.NaN(),
-				SimFCFS: math.NaN(), SimLCFS: math.NaN()}
-		}
-		panels[pi] = Panel{Spec: spec, Points: pts, Protocol: simProto}
-
-		// One analytic job per panel: all three curves ride the batched
-		// multi-K solver, sharing convolution series across the grid.
-		jobs = append(jobs, func() error {
-			grids, err := model.LossGrids(ks, queueing.AllCurves)
-			if err != nil {
-				return fmt.Errorf("panel rho'=%v M=%v: controlled loss: %w",
-					spec.RhoPrime, spec.M, err)
-			}
-			for i := range pts {
-				pts[i].Controlled = grids.Controlled[i].Loss
-				pts[i].FCFS = grids.FCFS[i]
-				pts[i].LCFS = grids.LCFS[i]
-			}
-			return nil
-		})
-
-		if opt.Disable {
-			continue
-		}
-		endTime := opt.EndTime
-		if endTime == 0 {
-			messages := opt.Messages
-			if messages == 0 {
-				messages = 1e5
-			}
-			endTime = messages / lambda
-		}
-		warmup := opt.Warmup
-		if warmup == 0 {
-			warmup = endTime / 20
-		}
-		// newCollector gives each instrumented run its own fresh
-		// SlotMetrics (they are not safe for sharing across the worker
-		// pool), shaped like the run's own Report histogram.
-		newCollector := func(k float64) *metrics.SlotMetrics {
-			if !opt.Metrics {
-				return nil
-			}
-			return metrics.NewSlotMetrics(spec.Tau, int(k/spec.Tau)+64)
-		}
-		for i := range pts {
-			i := i
-			base := Config{
-				Tau: spec.Tau, M: spec.M, Lambda: lambda, K: ks[i],
-				EndTime: endTime, Warmup: warmup,
-			}
-			jobs = append(jobs, func() error {
-				cfg := base
-				cfg.Seed = itemSeed(opt.Seed, spec, i, protoControlled)
-				pol, err := simPolicy(simProto, spec, lambda, ks[i], gStar, cfg.Seed)
-				if err != nil {
-					return fmt.Errorf("panel rho'=%v M=%v: %w", spec.RhoPrime, spec.M, err)
-				}
-				cfg.Policy = pol
-				sm := newCollector(cfg.K)
-				if sm != nil {
-					cfg.Collector = sm
-				}
-				rep, err := RunGlobal(cfg)
-				if err != nil {
-					return fmt.Errorf("panel rho'=%v M=%v: %s simulation at K=%v: %w",
-						spec.RhoPrime, spec.M, simProto, ks[i], err)
-				}
-				pts[i].SimControlled = rep.Loss()
-				pts[i].SimLo, pts[i].SimHi = rep.LossCI(0.95)
-				pts[i].ControlledMetrics = sm
-				return nil
-			})
-			if !opt.Baselines {
-				continue
-			}
-			jobs = append(jobs, func() error {
-				cfg := base
-				cfg.Seed = itemSeed(opt.Seed, spec, i, protoFCFS)
-				pol, err := simPolicy("fcfs", spec, lambda, ks[i], gStar, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				cfg.Policy = pol
-				sm := newCollector(cfg.K)
-				if sm != nil {
-					cfg.Collector = sm
-				}
-				if rep, err := RunGlobal(cfg); err == nil {
-					pts[i].SimFCFS = rep.Loss()
-					pts[i].FCFSMetrics = sm
-				} else {
-					pts[i].SimFCFSErr = err
-				}
-				return nil
-			})
-			jobs = append(jobs, func() error {
-				cfg := base
-				cfg.Seed = itemSeed(opt.Seed, spec, i, protoLCFS)
-				pol, err := simPolicy("lcfs", spec, lambda, ks[i], gStar, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				cfg.Policy = pol
-				sm := newCollector(cfg.K)
-				if sm != nil {
-					cfg.Collector = sm
-				}
-				if rep, err := RunGlobal(cfg); err == nil {
-					pts[i].SimLCFS = rep.Loss()
-					pts[i].LCFSMetrics = sm
-				} else {
-					pts[i].SimLCFSErr = err
-				}
-				return nil
-			})
-		}
-	}
-
-	if err := runJobs(jobs, opt.Workers); err != nil {
-		return nil, err
-	}
-	return panels, nil
-}
-
-// Figure7Panel evaluates one panel: analytic curves from the batched
-// queueing solvers, simulation points from the global-view simulator,
-// with the per-(constraint, protocol) work spread over SimOptions.Workers.
-func Figure7Panel(spec PanelSpec, opt SimOptions) (Panel, error) {
-	panels, err := Figure7Panels([]PanelSpec{spec}, opt)
-	if err != nil {
-		return Panel{}, err
-	}
-	return panels[0], nil
 }
 
 // Format renders the panel as an aligned text table, the library's

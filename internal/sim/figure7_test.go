@@ -2,120 +2,9 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
-
-// panelsBitIdentical compares evaluated panels field by field, treating
-// floats by their bit pattern so that NaN placeholders (disabled or failed
-// curves) compare equal — reflect.DeepEqual would report NaN != NaN.
-func panelsBitIdentical(a, b []Panel) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	for i := range a {
-		if !reflect.DeepEqual(a[i].Spec, b[i].Spec) || len(a[i].Points) != len(b[i].Points) {
-			return false
-		}
-		for j := range a[i].Points {
-			p, q := a[i].Points[j], b[i].Points[j]
-			if !same(p.KOverM, q.KOverM) || !same(p.K, q.K) ||
-				!same(p.Controlled, q.Controlled) || !same(p.FCFS, q.FCFS) || !same(p.LCFS, q.LCFS) ||
-				!same(p.SimControlled, q.SimControlled) || !same(p.SimLo, q.SimLo) || !same(p.SimHi, q.SimHi) ||
-				!same(p.SimFCFS, q.SimFCFS) || !same(p.SimLCFS, q.SimLCFS) {
-				return false
-			}
-			if (p.SimFCFSErr == nil) != (q.SimFCFSErr == nil) ||
-				(p.SimLCFSErr == nil) != (q.SimLCFSErr == nil) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// The reproducibility contract of the parallel pipeline: the fully
-// evaluated panels — analytic curves, simulated losses and confidence
-// intervals — must be bit-identical at every worker count, because each
-// work item's seed is derived from the item's identity rather than from
-// scheduling order.
-func TestFigure7PanelsDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation panel in -short mode")
-	}
-	specs := []PanelSpec{
-		{RhoPrime: 0.25, M: 25, KOverM: []float64{0.5, 1, 2}},
-		{RhoPrime: 0.75, M: 25, KOverM: []float64{1, 4}},
-	}
-	opt := SimOptions{Baselines: true, Messages: 5000, Seed: 99}
-
-	optSeq := opt
-	optSeq.Workers = 1
-	seq, err := Figure7Panels(specs, optSeq)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	for _, workers := range []int{0, 2, runtime.GOMAXPROCS(0) + 3} {
-		optPar := opt
-		optPar.Workers = workers
-		par, err := Figure7Panels(specs, optPar)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !panelsBitIdentical(seq, par) {
-			t.Errorf("workers=%d: parallel result differs from sequential\nseq: %+v\npar: %+v",
-				workers, seq, par)
-		}
-	}
-}
-
-// Figure7Panel must be exactly the single-spec case of Figure7Panels.
-func TestFigure7PanelMatchesPanels(t *testing.T) {
-	spec := PanelSpec{RhoPrime: 0.5, M: 25, KOverM: []float64{1, 2}}
-	opt := SimOptions{Disable: true}
-	one, err := Figure7Panel(spec, opt)
-	if err != nil {
-		t.Fatalf("Figure7Panel: %v", err)
-	}
-	many, err := Figure7Panels([]PanelSpec{spec}, opt)
-	if err != nil {
-		t.Fatalf("Figure7Panels: %v", err)
-	}
-	if !panelsBitIdentical([]Panel{one}, many) {
-		t.Errorf("Figure7Panel differs from Figure7Panels[0]")
-	}
-}
-
-// Distinct work items must get distinct seeds, and the same item the same
-// seed, whatever order items are generated in.
-func TestItemSeedIdentity(t *testing.T) {
-	a := PanelSpec{RhoPrime: 0.25, M: 25, Tau: 1}
-	b := PanelSpec{RhoPrime: 0.25, M: 100, Tau: 1}
-	seen := map[uint64]string{}
-	for _, spec := range []PanelSpec{a, b} {
-		for k := 0; k < 8; k++ {
-			for proto := protoControlled; proto <= protoLCFS; proto++ {
-				s := itemSeed(7, spec, k, proto)
-				id := fmt.Sprintf("M=%g k=%d proto=%d", spec.M, k, proto)
-				if prev, ok := seen[s]; ok {
-					t.Fatalf("seed collision between %q and %q", prev, id)
-				}
-				seen[s] = id
-			}
-		}
-	}
-	if itemSeed(7, a, 1, protoFCFS) != itemSeed(7, a, 1, protoFCFS) {
-		t.Fatal("itemSeed not deterministic")
-	}
-	if itemSeed(7, a, 1, protoFCFS) == itemSeed(8, a, 1, protoFCFS) {
-		t.Fatal("base seed ignored")
-	}
-}
 
 // Recorded baseline failures must surface in the rendered table.
 func TestFormatShowsBaselineErrors(t *testing.T) {

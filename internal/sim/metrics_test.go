@@ -186,51 +186,6 @@ func TestMultiStationMetrics(t *testing.T) {
 	}
 }
 
-// TestFigure7Metrics exercises SimOptions.Metrics end to end: every
-// simulated point must surface verified collectors, and the panel table
-// must render them.
-func TestFigure7Metrics(t *testing.T) {
-	spec := PanelSpec{RhoPrime: 0.5, M: 25, KOverM: []float64{1, 2}}
-	panel, err := Figure7Panel(spec, SimOptions{
-		Baselines: true, Metrics: true, Messages: 3000, Seed: 11,
-	})
-	if err != nil {
-		t.Fatalf("Figure7Panel: %v", err)
-	}
-	for i, pt := range panel.Points {
-		if pt.ControlledMetrics == nil {
-			t.Fatalf("point %d: no controlled metrics", i)
-		}
-		if pt.ControlledMetrics.Transmissions == 0 {
-			t.Errorf("point %d: empty controlled metrics", i)
-		}
-		if pt.SimFCFSErr == nil && pt.FCFSMetrics == nil {
-			t.Errorf("point %d: FCFS succeeded but surfaced no metrics", i)
-		}
-		if pt.SimLCFSErr == nil && pt.LCFSMetrics == nil {
-			t.Errorf("point %d: LCFS succeeded but surfaced no metrics", i)
-		}
-	}
-	table := panel.MetricsTable()
-	for _, want := range []string{"controlled", "util", "discards", "splits"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("MetricsTable missing %q:\n%s", want, table)
-		}
-	}
-
-	// Without the option no collectors are attached and the table says so.
-	plain, err := Figure7Panel(spec, SimOptions{Messages: 1500, Seed: 11})
-	if err != nil {
-		t.Fatalf("Figure7Panel (plain): %v", err)
-	}
-	if plain.Points[0].ControlledMetrics != nil {
-		t.Error("metrics surfaced without SimOptions.Metrics")
-	}
-	if !strings.Contains(plain.MetricsTable(), "no metrics collected") {
-		t.Errorf("empty MetricsTable should say so:\n%s", plain.MetricsTable())
-	}
-}
-
 // TestReplicatedRejectsCollector: a shared collector would be written by
 // concurrent replications, so RunReplicated must refuse it.
 func TestReplicatedRejectsCollector(t *testing.T) {

@@ -2,10 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"windowctl/internal/rngutil"
 	"windowctl/internal/stats"
 )
+
+// replicationFaultTag separates a replication's fault-schedule seed
+// stream from its simulation seed.  It is part of the reproducibility
+// contract: changing it changes every replicated faulty run.
+const replicationFaultTag = 0xfee0
 
 // Replicated aggregates independent replications of one configuration.
 type Replicated struct {
@@ -34,13 +41,11 @@ func RunReplicated(cfg Config, n int) (Replicated, error) {
 	if cfg.Collector != nil {
 		return Replicated{}, fmt.Errorf("sim: a shared Collector cannot be replicated (replications run concurrently); collect per run and Merge instead")
 	}
-	// Replications run over the bounded runJobs pool (the PR-1 worker
-	// pool behind Figure7Panels): min(n, GOMAXPROCS) goroutines pulling
-	// jobs, instead of the n up-front goroutines (gated only after
-	// spawning) this replaces — a million-replication request now costs
-	// a handful of stacks, not a million.  Job i always uses the seed
-	// derived from its own index, so results are bit-identical at any
-	// degree of parallelism.
+	// Replications run over the bounded runJobs pool: min(n,
+	// GOMAXPROCS) goroutines pulling jobs, so a million-replication
+	// request costs a handful of stacks, not a million.  Job i always
+	// uses the seed derived from its own index, so results are
+	// bit-identical at any degree of parallelism.
 	runs := make([]Report, n)
 	jobs := make([]func() error, n)
 	for i := 0; i < n; i++ {
@@ -55,7 +60,7 @@ func RunReplicated(cfg Config, n int) (Replicated, error) {
 			c.Seed = rngutil.Mix64(cfg.Seed, uint64(i+1))
 			if c.Faults.Enabled() {
 				// Replications are independent fault-schedule draws too.
-				c.Faults.Seed = rngutil.Mix64(cfg.Faults.Seed, uint64(i+1), degradationFaultTag)
+				c.Faults.Seed = rngutil.Mix64(cfg.Faults.Seed, uint64(i+1), replicationFaultTag)
 			}
 			var err error
 			runs[i], err = RunGlobal(c)
@@ -65,7 +70,7 @@ func RunReplicated(cfg Config, n int) (Replicated, error) {
 			return nil
 		}
 	}
-	if err := runJobs(jobs, 0); err != nil {
+	if err := runJobs(jobs); err != nil {
 		return Replicated{}, err
 	}
 	out := Replicated{Runs: runs}
@@ -85,4 +90,34 @@ func RunReplicated(cfg Config, n int) (Replicated, error) {
 		return Replicated{}, err
 	}
 	return out, nil
+}
+
+// runJobs executes the jobs over min(len(jobs), GOMAXPROCS) workers and
+// returns the lowest-indexed error, independent of scheduling order.
+// Each job owns the memory it writes, so the only synchronization needed
+// is the final barrier.
+func runJobs(jobs []func() error) error {
+	errs := make([]error, len(jobs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(len(jobs), runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = jobs[i]()
+			}
+		}()
+	}
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

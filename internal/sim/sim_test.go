@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"windowctl/internal/metrics"
@@ -400,53 +399,6 @@ func TestMultiStationValidation(t *testing.T) {
 	}
 }
 
-func TestFigure7PanelAnalyticOnly(t *testing.T) {
-	panel, err := Figure7Panel(PanelSpec{RhoPrime: 0.5, M: 25}, SimOptions{Disable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panel.Points) != len(DefaultKOverM) {
-		t.Fatalf("points = %d", len(panel.Points))
-	}
-	prev := 1.1
-	for _, pt := range panel.Points {
-		// Controlled loss decreases in K and dominates the baselines.
-		if pt.Controlled > prev+1e-9 {
-			t.Fatalf("controlled loss not monotone at K/M=%v", pt.KOverM)
-		}
-		prev = pt.Controlled
-		if !math.IsNaN(pt.FCFS) && pt.Controlled > pt.FCFS+5e-4 {
-			t.Fatalf("controlled %v worse than FCFS %v at K/M=%v", pt.Controlled, pt.FCFS, pt.KOverM)
-		}
-		if !math.IsNaN(pt.SimControlled) {
-			t.Fatal("simulation ran although disabled")
-		}
-	}
-	if panel.Format() == "" {
-		t.Fatal("empty format")
-	}
-}
-
-func TestFigure7PanelWithSimulation(t *testing.T) {
-	spec := PanelSpec{RhoPrime: 0.75, M: 25, KOverM: []float64{1, 2}}
-	panel, err := Figure7Panel(spec, SimOptions{Seed: 5, EndTime: 4e5, Warmup: 4e4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range panel.Points {
-		if math.IsNaN(pt.SimControlled) {
-			t.Fatal("missing simulation point")
-		}
-		// Simulation within 50% relative + 0.02 of the analytic curve.
-		if math.Abs(pt.SimControlled-pt.Controlled) > 0.5*pt.Controlled+0.02 {
-			t.Fatalf("K/M=%v: sim %v far from analytic %v", pt.KOverM, pt.SimControlled, pt.Controlled)
-		}
-		if pt.SimLo > pt.SimControlled || pt.SimHi < pt.SimControlled {
-			t.Fatal("CI does not bracket the estimate")
-		}
-	}
-}
-
 func TestRunReplicated(t *testing.T) {
 	cfg := controlledCfg(0.75, 25, 1, 44)
 	cfg.EndTime = 1e5
@@ -481,32 +433,6 @@ func TestRunReplicated(t *testing.T) {
 	bad.Tau = 0
 	if _, err := RunReplicated(bad, 3); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-}
-
-func TestPanelChart(t *testing.T) {
-	panel, err := Figure7Panel(PanelSpec{RhoPrime: 0.75, M: 25}, SimOptions{Disable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chart := panel.Chart(64, 18)
-	for _, marker := range []string{"C", "F", "L"} {
-		if !strings.Contains(chart, marker) {
-			t.Fatalf("chart missing %q series:\n%s", marker, chart)
-		}
-	}
-	if !strings.Contains(chart, "rho'=0.75") {
-		t.Fatal("chart header missing")
-	}
-	// The top row (largest loss) must hold the FCFS curve, the paper's
-	// worst performer at this load.
-	lines := strings.Split(chart, "\n")
-	if !strings.Contains(lines[1], "F") {
-		t.Fatalf("top row is not FCFS:\n%s", chart)
-	}
-	// Degenerate sizes are clamped, empty panels render empty.
-	if (Panel{}).Chart(5, 2) != "" {
-		t.Fatal("empty panel should render empty")
 	}
 }
 

@@ -34,14 +34,13 @@ type Options struct {
 	// unflushed in the cache buffer; 0 means 4096.  A crashed sweep
 	// loses at most this many points.
 	FlushEvery int
-	// Metrics, when non-nil, aggregates the slot-level counters of
-	// every *executed* simulation run into one collector (cache hits
-	// contribute nothing — their runs happened in an earlier sweep).
-	// Each run gets its own fresh collector, so its conservation
-	// invariants are still verified individually; the per-run counters
-	// are merged in after the run.  Incompatible with Replications >= 2
-	// (replications cannot share a collector).
-	Metrics *metrics.SlotMetrics
+	// Metrics gives every *executed* simulation run its own fresh
+	// collector and puts it on the run's Outcome.Metrics (cache hits
+	// carry none — their runs happened in an earlier sweep).  Each run's
+	// conservation invariants are verified individually; callers that
+	// want grid totals Merge the collectors.  Incompatible with
+	// Replications >= 2 (replications cannot share a collector).
+	Metrics bool
 }
 
 // Outcome pairs a point with its (computed or cached) result.
@@ -51,6 +50,9 @@ type Outcome struct {
 	Result Result
 	// Cached reports whether the result came from the cache.
 	Cached bool
+	// Metrics holds the slot-level counters of the point's run when
+	// Options.Metrics is set and the point was executed, not cached.
+	Metrics *metrics.SlotMetrics
 }
 
 // Run enumerates the space and evaluates every point, answering what it
@@ -69,8 +71,8 @@ func Run(space Space, opt Options) ([]Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Metrics != nil && norm.Replications > 1 {
-		return nil, fmt.Errorf("sweep: Metrics cannot aggregate replicated runs (replications share no collector)")
+	if opt.Metrics && norm.Replications > 1 {
+		return nil, fmt.Errorf("sweep: Metrics cannot instrument replicated runs (replications share no collector)")
 	}
 	pts, err := norm.Enumerate()
 	if err != nil {
@@ -108,16 +110,13 @@ func Run(space Space, opt Options) ([]Outcome, error) {
 		flushEvery = 4096
 	}
 
-	// commit folds one computed result into the shared state: the cache
-	// (with a bounded-staleness flush) and the aggregate collector.
+	// commit folds one computed result into the cache, with a
+	// bounded-staleness flush.
 	var mu sync.Mutex
 	var commitErr error
-	commit := func(i int, sm *metrics.SlotMetrics) {
+	commit := func(i int) {
 		mu.Lock()
 		defer mu.Unlock()
-		if opt.Metrics != nil && sm != nil {
-			opt.Metrics.Merge(sm)
-		}
 		if commitErr != nil {
 			return
 		}
@@ -144,15 +143,14 @@ func Run(space Space, opt Options) ([]Outcome, error) {
 				continue
 			}
 			i := misses[t-len(cols.solve)]
-			var sm *metrics.SlotMetrics
-			if opt.Metrics != nil {
-				sm = &metrics.SlotMetrics{}
+			if opt.Metrics {
+				outs[i].Metrics = &metrics.SlotMetrics{}
 			}
 			p := outs[i].Point
-			res := simulate(p, sm)
+			res := simulate(p, outs[i].Metrics)
 			cols.fill(i, p, &res)
 			outs[i].Result = res
-			commit(i, sm)
+			commit(i)
 		}
 	}
 
@@ -277,7 +275,8 @@ func (c columns) fill(i int, p Point, res *Result) {
 }
 
 // pointAnalytic sets the analytic column of p from its own §4 model
-// solve.
+// solve.  A solve that succeeds with a NaN loss (far past saturation)
+// leaves the column without a value and without an error.
 func pointAnalytic(p Point, res *Result) {
 	disc, err := ParseDiscipline(p.Discipline)
 	if err != nil {
@@ -285,11 +284,11 @@ func pointAnalytic(p Point, res *Result) {
 		return
 	}
 	sys := core.System{Tau: p.Tau, M: p.M, RhoPrime: p.RhoPrime, K: p.K(), Discipline: disc}
-	if a, err := sys.AnalyticLoss(); err == nil {
+	if a, err := sys.AnalyticLoss(); err != nil {
+		res.AnalyticErr = err.Error()
+	} else if !math.IsNaN(a.Loss) {
 		res.AnalyticLoss = fin(a.Loss)
 		res.AnalyticOK = true
-	} else {
-		res.AnalyticErr = err.Error()
 	}
 }
 

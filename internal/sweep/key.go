@@ -49,7 +49,9 @@ func (p Point) Key() string {
 type Result struct {
 	// AnalyticLoss is the §4 model prediction; valid only when
 	// AnalyticOK (the Random discipline has no analytic model, and the
-	// baseline queues can be unstable at high load).
+	// baseline queues can be unstable at high load).  AnalyticErr
+	// records why a solve failed; a model that solves to NaN (far past
+	// saturation) leaves both AnalyticOK and AnalyticErr unset.
 	AnalyticLoss float64 `json:"analytic_loss"`
 	AnalyticOK   bool    `json:"analytic_ok"`
 	AnalyticErr  string  `json:"analytic_err,omitempty"`

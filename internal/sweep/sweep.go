@@ -44,6 +44,11 @@
 // with different K axes the quadrature grids differ in length, and the
 // same point's value agrees within 1e-12, as it does with a per-point
 // solve.
+//
+// Run is the repository's one grid driver.  The paper's figure-7 panels
+// and the feedback-error degradation curves (Figure7Panels,
+// DegradationPanels) are views over it: each panel is one Space, and
+// sim.Panel and sim.DegradationPanel are filled from its outcomes.
 package sweep
 
 import (

@@ -283,8 +283,11 @@ func TestRunAnalyticOnly(t *testing.T) {
 func TestRunMetricsAggregation(t *testing.T) {
 	s := testSpace()
 	s.ErrorRates = nil // perfect feedback keeps the fault counters zero
+	outs := mustRun(t, s, Options{Workers: 4, Metrics: true})
 	sm := &metrics.SlotMetrics{}
-	outs := mustRun(t, s, Options{Workers: 4, Metrics: sm})
+	for _, o := range outs {
+		sm.Merge(o.Metrics)
+	}
 	if sm.Arrivals == 0 || sm.Transmissions == 0 {
 		t.Fatalf("aggregate metrics empty: %+v", sm)
 	}
@@ -301,7 +304,7 @@ func TestRunMetricsAggregation(t *testing.T) {
 
 	// Replicated runs cannot share a collector.
 	s.Replications = 3
-	if _, err := Run(s, Options{Metrics: &metrics.SlotMetrics{}}); err == nil {
+	if _, err := Run(s, Options{Metrics: true}); err == nil {
 		t.Fatal("metrics+replications accepted")
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"windowctl/internal/protocol"
 	"windowctl/internal/queueing"
 	"windowctl/internal/sim"
+	"windowctl/internal/sweep"
 )
 
 // System describes one protocol operating point in the paper's
@@ -145,21 +146,22 @@ type Panel = sim.Panel
 // Point is one constraint value of a panel.
 type Point = sim.Point
 
-// Figure7Options controls the harness' simulation side.
+// Figure7Options controls the harness' simulation side; callers size
+// each run with Messages.
 type Figure7Options = sim.SimOptions
 
 // Figure7Panel evaluates one figure-7 panel (analytic curves plus
 // simulation points).
 func Figure7Panel(spec PanelSpec, opt Figure7Options) (Panel, error) {
-	return sim.Figure7Panel(spec, opt)
+	return sweep.Figure7Panel(spec, opt)
 }
 
-// Figure7Panels evaluates a set of figure-7 panels, fanning the per-panel
-// analytic solves and per-(constraint, protocol) simulation runs over
-// Figure7Options.Workers concurrent workers; results are bit-identical at
-// every worker count.
+// Figure7Panels evaluates a set of figure-7 panels as views over the
+// sweep grid engine, its analytic solves and per-(constraint, protocol)
+// simulation runs spread over Figure7Options.Workers concurrent workers;
+// results are bit-identical at every worker count.
 func Figure7Panels(specs []PanelSpec, opt Figure7Options) ([]Panel, error) {
-	return sim.Figure7Panels(specs, opt)
+	return sweep.Figure7Panels(specs, opt)
 }
 
 // AllFigure7Panels returns the paper's six panel specifications
@@ -193,7 +195,7 @@ type DegradationPoint = sim.DegradationPoint
 // rate-0 column is bit-identical to the perfect-feedback Figure7Panels
 // simulation with the same seed.
 func DegradationPanels(specs []PanelSpec, opt DegradationOptions) ([]DegradationPanel, error) {
-	return sim.DegradationPanels(specs, opt)
+	return sweep.DegradationPanels(specs, opt)
 }
 
 // Transform perturbs one station's membership test (see the §5
