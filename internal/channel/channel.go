@@ -75,12 +75,6 @@ func New(tau, txTime float64) *Channel {
 // between two successes as one record each.  Pass nil to detach.
 func (c *Channel) Observe(m metrics.Collector) { c.collector = metrics.OrNop(m) }
 
-// Tau returns the propagation delay (slot time).
-func (c *Channel) Tau() float64 { return c.tau }
-
-// TxTime returns the message transmission time.
-func (c *Channel) TxTime() float64 { return c.txTime }
-
 // ResolveSlot consumes one protocol slot with the given number of
 // transmitting stations and returns the feedback every station observes
 // and the duration the slot occupied the channel: τ for idle or collision

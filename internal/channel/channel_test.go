@@ -43,7 +43,7 @@ func TestEmptyStats(t *testing.T) {
 	if c.Stats().Utilization() != 0 {
 		t.Fatal("fresh channel utilization")
 	}
-	if c.Tau() != 0.5 || c.TxTime() != 0.5 {
+	if c.tau != 0.5 || c.txTime != 0.5 {
 		t.Fatal("accessors")
 	}
 }

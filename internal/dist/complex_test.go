@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -8,16 +9,37 @@ import (
 	"windowctl/internal/rngutil"
 )
 
+// realLST is the real-valued closed form of E[e^{-sX}] for s >= 0, written
+// with float arithmetic only, independently of the complex LST methods.
+func realLST(d Distribution, s float64) float64 {
+	switch v := d.(type) {
+	case Deterministic:
+		return math.Exp(-s * v.Value)
+	case Exponential:
+		return v.Rate / (v.Rate + s)
+	case Erlang:
+		return math.Pow(v.Rate/(v.Rate+s), float64(v.K))
+	case GeometricLattice:
+		return (1 - v.Q) / (1 - v.Q*math.Exp(-s*v.Step))
+	case Shifted:
+		return math.Exp(-s*v.Offset) * realLST(v.Base, s)
+	case *Empirical:
+		sum := 0.0
+		for i, x := range v.xs {
+			sum += v.ps[i] * math.Exp(-s*x)
+		}
+		return sum
+	}
+	panic(fmt.Sprintf("realLST: no closed form for %T", d))
+}
+
 // TestLSTComplexMatchesRealOnAxis: on the real axis the complex LST must
-// coincide with the real implementation, for every law.
+// coincide with the real closed form, for every law.
 func TestLSTComplexMatchesRealOnAxis(t *testing.T) {
 	for _, d := range allLaws() {
 		for s := 0.0; s <= 5; s += 0.25 {
-			got, err := LSTComplex(d, complex(s, 0))
-			if err != nil {
-				t.Fatalf("%v: %v", d, err)
-			}
-			want := d.LST(s)
+			got := d.LST(complex(s, 0))
+			want := realLST(d, s)
 			if math.Abs(real(got)-want) > 1e-10 || math.Abs(imag(got)) > 1e-10 {
 				t.Fatalf("%v at s=%v: complex %v vs real %v", d, s, got, want)
 			}
@@ -30,10 +52,7 @@ func TestLSTComplexMatchesRealOnAxis(t *testing.T) {
 func TestLSTComplexCharacteristicConsistency(t *testing.T) {
 	for _, d := range allLaws() {
 		for w := -10.0; w <= 10; w += 0.5 {
-			v, err := LSTComplex(d, complex(0, w))
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := d.LST(complex(0, w))
 			if cmplx.Abs(v) > 1+1e-10 {
 				t.Fatalf("%v: |phi(i%v)| = %v > 1", d, w, cmplx.Abs(v))
 			}
@@ -47,10 +66,7 @@ func TestLSTComplexMonteCarlo(t *testing.T) {
 	r := rngutil.New(71)
 	s := complex(0.5, 0.7)
 	for _, d := range allLaws() {
-		want, err := LSTComplex(d, s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := d.LST(s)
 		st := r.Spawn()
 		const n = 200000
 		var acc complex128
@@ -61,18 +77,5 @@ func TestLSTComplexMonteCarlo(t *testing.T) {
 		if cmplx.Abs(got-want) > 0.01 {
 			t.Fatalf("%v: MC %v vs analytic %v", d, got, want)
 		}
-	}
-}
-
-// fakeDist is an unknown Distribution implementation.
-type fakeDist struct{ Deterministic }
-
-func TestLSTComplexUnknownType(t *testing.T) {
-	if _, err := LSTComplex(fakeDist{}, 1); err == nil {
-		t.Fatal("unknown distribution type accepted")
-	}
-	// Shifted propagates inner errors.
-	if _, err := LSTComplex(Shifted{Base: fakeDist{}, Offset: 1}, 1); err == nil {
-		t.Fatal("shifted unknown base accepted")
 	}
 }

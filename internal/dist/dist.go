@@ -4,15 +4,18 @@
 // generators for the simulator.
 //
 // A Distribution exposes exactly what the analyses in the paper consume:
-// moments (for ρ and the residual-service law), the CDF (for the unfinished
-// work recursion of §4.1), the Laplace–Stieltjes transform (for the
-// busy-period and LCFS baseline analyses), and sampling (for simulation).
-// All distributions here are non-negative, as befits times.
+// the mean (for ρ and the residual-service law), the CDF (for the
+// unfinished work recursion of §4.1 and the Beneš series of the FCFS
+// baseline), the Laplace–Stieltjes transform at complex arguments (for the
+// busy-period transform and the Euler inversion of the LCFS baseline), and
+// sampling (for simulation).  All distributions here are non-negative, as
+// befits times.
 package dist
 
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"windowctl/internal/rngutil"
 )
@@ -21,32 +24,16 @@ import (
 type Distribution interface {
 	// Mean returns the first moment E[X].
 	Mean() float64
-	// SecondMoment returns E[X²].
-	SecondMoment() float64
 	// CDF returns P(X <= x).  CDF(x) = 0 for x < 0.
 	CDF(x float64) float64
-	// LST returns the Laplace–Stieltjes transform E[e^(−sX)] for s >= 0.
-	LST(s float64) float64
+	// LST returns the Laplace–Stieltjes transform E[e^(−sX)] at a complex
+	// argument with Re(s) >= 0.  The LCFS baseline evaluates it along the
+	// Bromwich contour of its Euler inversion.
+	LST(s complex128) complex128
 	// Sample draws one variate using the given stream.
 	Sample(r *rngutil.Stream) float64
 	// String describes the law and its parameters.
 	String() string
-}
-
-// Variance returns Var(X) for any Distribution.
-func Variance(d Distribution) float64 {
-	m := d.Mean()
-	return d.SecondMoment() - m*m
-}
-
-// SCV returns the squared coefficient of variation Var(X)/E[X]²; it is 0
-// for deterministic laws and 1 for the exponential.
-func SCV(d Distribution) float64 {
-	m := d.Mean()
-	if m == 0 {
-		return 0
-	}
-	return Variance(d) / (m * m)
 }
 
 // ---------------------------------------------------------------------------
@@ -68,9 +55,6 @@ func NewDeterministic(v float64) Deterministic {
 // Mean implements Distribution.
 func (d Deterministic) Mean() float64 { return d.Value }
 
-// SecondMoment implements Distribution.
-func (d Deterministic) SecondMoment() float64 { return d.Value * d.Value }
-
 // CDF implements Distribution.
 func (d Deterministic) CDF(x float64) float64 {
 	if x >= d.Value {
@@ -80,7 +64,7 @@ func (d Deterministic) CDF(x float64) float64 {
 }
 
 // LST implements Distribution.
-func (d Deterministic) LST(s float64) float64 { return math.Exp(-s * d.Value) }
+func (d Deterministic) LST(s complex128) complex128 { return cmplx.Exp(-s * complex(d.Value, 0)) }
 
 // Sample implements Distribution.
 func (d Deterministic) Sample(*rngutil.Stream) float64 { return d.Value }
@@ -106,9 +90,6 @@ func NewExponential(rate float64) Exponential {
 // Mean implements Distribution.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
-// SecondMoment implements Distribution.
-func (e Exponential) SecondMoment() float64 { return 2 / (e.Rate * e.Rate) }
-
 // CDF implements Distribution.
 func (e Exponential) CDF(x float64) float64 {
 	if x <= 0 {
@@ -118,66 +99,15 @@ func (e Exponential) CDF(x float64) float64 {
 }
 
 // LST implements Distribution.
-func (e Exponential) LST(s float64) float64 { return e.Rate / (e.Rate + s) }
+func (e Exponential) LST(s complex128) complex128 {
+	return complex(e.Rate, 0) / (complex(e.Rate, 0) + s)
+}
 
 // Sample implements Distribution.
 func (e Exponential) Sample(r *rngutil.Stream) float64 { return r.Exp(e.Rate) }
 
 // String implements Distribution.
 func (e Exponential) String() string { return fmt.Sprintf("Exponential(rate=%g)", e.Rate) }
-
-// ---------------------------------------------------------------------------
-// Uniform
-// ---------------------------------------------------------------------------
-
-// Uniform is the continuous uniform law on [Low, High].
-type Uniform struct{ Low, High float64 }
-
-// NewUniform returns a uniform law on [low, high]; it panics unless
-// 0 <= low < high.
-func NewUniform(low, high float64) Uniform {
-	if low < 0 || high <= low {
-		panic("dist: invalid uniform bounds")
-	}
-	return Uniform{Low: low, High: high}
-}
-
-// Mean implements Distribution.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 }
-
-// SecondMoment implements Distribution.
-func (u Uniform) SecondMoment() float64 {
-	// E[X²] = (a² + ab + b²)/3.
-	return (u.Low*u.Low + u.Low*u.High + u.High*u.High) / 3
-}
-
-// CDF implements Distribution.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Low:
-		return 0
-	case x >= u.High:
-		return 1
-	default:
-		return (x - u.Low) / (u.High - u.Low)
-	}
-}
-
-// LST implements Distribution.
-func (u Uniform) LST(s float64) float64 {
-	if s == 0 {
-		return 1
-	}
-	return (math.Exp(-s*u.Low) - math.Exp(-s*u.High)) / (s * (u.High - u.Low))
-}
-
-// Sample implements Distribution.
-func (u Uniform) Sample(r *rngutil.Stream) float64 {
-	return u.Low + (u.High-u.Low)*r.Float64()
-}
-
-// String implements Distribution.
-func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g]", u.Low, u.High) }
 
 // ---------------------------------------------------------------------------
 // Erlang
@@ -203,12 +133,6 @@ func NewErlang(k int, rate float64) Erlang {
 // Mean implements Distribution.
 func (e Erlang) Mean() float64 { return float64(e.K) / e.Rate }
 
-// SecondMoment implements Distribution.
-func (e Erlang) SecondMoment() float64 {
-	k := float64(e.K)
-	return k * (k + 1) / (e.Rate * e.Rate)
-}
-
 // CDF implements Distribution.  Uses the closed-form lower regularized
 // gamma function for integer shape: 1 − e^{−λx} Σ_{n<K} (λx)ⁿ/n!.
 func (e Erlang) CDF(x float64) float64 {
@@ -228,8 +152,9 @@ func (e Erlang) CDF(x float64) float64 {
 }
 
 // LST implements Distribution.
-func (e Erlang) LST(s float64) float64 {
-	return math.Pow(e.Rate/(e.Rate+s), float64(e.K))
+func (e Erlang) LST(s complex128) complex128 {
+	base := complex(e.Rate, 0) / (complex(e.Rate, 0) + s)
+	return cmplx.Pow(base, complex(float64(e.K), 0))
 }
 
 // Sample implements Distribution.
@@ -273,15 +198,6 @@ func NewGeometricLattice(meanSteps, step float64) GeometricLattice {
 // Mean implements Distribution.
 func (g GeometricLattice) Mean() float64 { return g.Step * g.Q / (1 - g.Q) }
 
-// SecondMoment implements Distribution.
-func (g GeometricLattice) SecondMoment() float64 {
-	// For N ~ Geom(q) on {0,1,...}: E[N] = q/(1−q), Var(N) = q/(1−q)².
-	// E[N²] = Var + mean² = q(1+q)/(1−q)².
-	q := g.Q
-	en2 := q * (1 + q) / ((1 - q) * (1 - q))
-	return g.Step * g.Step * en2
-}
-
 // CDF implements Distribution.
 func (g GeometricLattice) CDF(x float64) float64 {
 	if x < 0 {
@@ -293,9 +209,9 @@ func (g GeometricLattice) CDF(x float64) float64 {
 }
 
 // LST implements Distribution.
-func (g GeometricLattice) LST(s float64) float64 {
+func (g GeometricLattice) LST(s complex128) complex128 {
 	// E[e^{−sN·Step}] = (1−q) / (1 − q e^{−s·Step}).
-	return (1 - g.Q) / (1 - g.Q*math.Exp(-s*g.Step))
+	return complex(1-g.Q, 0) / (1 - complex(g.Q, 0)*cmplx.Exp(-s*complex(g.Step, 0)))
 }
 
 // Sample implements Distribution.
@@ -334,17 +250,13 @@ func NewShifted(base Distribution, offset float64) Shifted {
 // Mean implements Distribution.
 func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
 
-// SecondMoment implements Distribution.
-func (s Shifted) SecondMoment() float64 {
-	// E[(X+c)²] = E[X²] + 2c·E[X] + c².
-	return s.Base.SecondMoment() + 2*s.Offset*s.Base.Mean() + s.Offset*s.Offset
-}
-
 // CDF implements Distribution.
 func (s Shifted) CDF(x float64) float64 { return s.Base.CDF(x - s.Offset) }
 
 // LST implements Distribution.
-func (s Shifted) LST(u float64) float64 { return math.Exp(-u*s.Offset) * s.Base.LST(u) }
+func (s Shifted) LST(u complex128) complex128 {
+	return cmplx.Exp(-u*complex(s.Offset, 0)) * s.Base.LST(u)
+}
 
 // Sample implements Distribution.
 func (s Shifted) Sample(r *rngutil.Stream) float64 { return s.Base.Sample(r) + s.Offset }
@@ -411,15 +323,6 @@ func (e *Empirical) Mean() float64 {
 	return sum
 }
 
-// SecondMoment implements Distribution.
-func (e *Empirical) SecondMoment() float64 {
-	sum := 0.0
-	for i, x := range e.xs {
-		sum += x * x * e.ps[i]
-	}
-	return sum
-}
-
 // CDF implements Distribution.
 func (e *Empirical) CDF(x float64) float64 {
 	if x < e.xs[0] {
@@ -439,10 +342,10 @@ func (e *Empirical) CDF(x float64) float64 {
 }
 
 // LST implements Distribution.
-func (e *Empirical) LST(s float64) float64 {
-	sum := 0.0
+func (e *Empirical) LST(s complex128) complex128 {
+	sum := complex(0, 0)
 	for i, x := range e.xs {
-		sum += e.ps[i] * math.Exp(-s*x)
+		sum += complex(e.ps[i], 0) * cmplx.Exp(-s*complex(x, 0))
 	}
 	return sum
 }

@@ -77,12 +77,6 @@ func NewAtomicSum(d *Empirical, y Distribution) (*AtomicSum, error) {
 // Mean implements Distribution.
 func (s *AtomicSum) Mean() float64 { return s.d.Mean() + s.y.Mean() }
 
-// SecondMoment implements Distribution.
-func (s *AtomicSum) SecondMoment() float64 {
-	// E[(D+Y)²] = E[D²] + 2·E[D]E[Y] + E[Y²].
-	return s.d.SecondMoment() + 2*s.d.Mean()*s.y.Mean() + s.y.SecondMoment()
-}
-
 // CDF implements Distribution: P(D+Y <= t) = Σ_i p_i F_Y(t − x_i).
 func (s *AtomicSum) CDF(t float64) float64 {
 	xs, ps := s.d.Support()
@@ -97,7 +91,7 @@ func (s *AtomicSum) CDF(t float64) float64 {
 }
 
 // LST implements Distribution.
-func (s *AtomicSum) LST(u float64) float64 { return s.d.LST(u) * s.y.LST(u) }
+func (s *AtomicSum) LST(u complex128) complex128 { return s.d.LST(u) * s.y.LST(u) }
 
 // Sample implements Distribution.
 func (s *AtomicSum) Sample(r *rngutil.Stream) float64 {

@@ -81,19 +81,15 @@ func TestAtomicSumAgainstConvolutionFacts(t *testing.T) {
 	if math.Abs(s.Mean()-1.5) > 1e-12 {
 		t.Fatalf("mean %v", s.Mean())
 	}
-	// E[(D+Y)²] = E[D²] + 2E[D]E[Y] + E[Y²] = .5 + 1 + 2 = 3.5.
-	if math.Abs(s.SecondMoment()-3.5) > 1e-12 {
-		t.Fatalf("second moment %v", s.SecondMoment())
-	}
 	// LST factorizes.
-	if math.Abs(s.LST(0.7)-d.LST(0.7)*y.LST(0.7)) > 1e-12 {
+	if u := complex(0.7, 0.3); s.LST(u) != d.LST(u)*y.LST(u) {
 		t.Fatal("LST does not factorize")
 	}
 }
 
 func TestAtomicSumSampling(t *testing.T) {
 	d, _ := NewEmpirical([]float64{0, 2}, []float64{1, 3})
-	y := NewUniform(1, 2)
+	y := NewShifted(NewExponential(2), 1)
 	s, err := NewAtomicSum(d, y)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +99,7 @@ func TestAtomicSumSampling(t *testing.T) {
 	mean := 0.0
 	for i := 0; i < n; i++ {
 		v := s.Sample(r)
-		if v < 1 || v > 4 {
+		if v < 1 {
 			t.Fatalf("sample %v outside support", v)
 		}
 		mean += v

@@ -25,15 +25,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j); it panics when out of range.
 func (m *Matrix) At(i, j int) float64 {
 	m.check(i, j)
@@ -65,48 +56,10 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MulVec returns m·x; it panics if dimensions disagree.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		sum := 0.0
-		row := m.data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
-// Mul returns the matrix product m·other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic("linalg: Mul dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.data[i*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.Cols; j++ {
-				out.data[i*out.Cols+j] += a * other.data[k*other.Cols+j]
-			}
-		}
-	}
-	return out
-}
-
 // LU is a partial-pivot LU factorization P·A = L·U.
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	signs int
 }
 
 // Factor computes the LU factorization of a square matrix.  It returns an
@@ -121,7 +74,6 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range pivot {
 		pivot[i] = i
 	}
-	signs := 1
 	for col := 0; col < n; col++ {
 		// Partial pivoting: find the largest magnitude in this column.
 		maxRow, maxVal := col, math.Abs(lu.At(col, col))
@@ -140,7 +92,6 @@ func Factor(a *Matrix) (*LU, error) {
 				lu.Set(maxRow, j, t)
 			}
 			pivot[col], pivot[maxRow] = pivot[maxRow], pivot[col]
-			signs = -signs
 		}
 		piv := lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -154,7 +105,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signs: signs}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve returns x with A·x = b for the factored A.
@@ -187,15 +138,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.signs)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve is a convenience one-shot A·x = b solve.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
@@ -203,17 +145,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// ResidualNorm returns ‖A·x − b‖∞, useful for verifying solutions in tests
-// and for diagnosing ill-conditioned policy-iteration systems.
-func ResidualNorm(a *Matrix, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	worst := 0.0
-	for i := range ax {
-		if d := math.Abs(ax[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -3,7 +3,6 @@ package numerics
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -50,7 +49,7 @@ func FFT(a []complex128, inverse bool) {
 }
 
 // convolveFFTCalls counts every FFT-based density convolution performed
-// (Grid.ConvolveFFT and Convolver.ConvolveInto).  The batched multi-K
+// (Convolver.ConvolveInto).  The batched multi-K
 // solvers in internal/queueing exist to shrink this number; tests and
 // benchmarks read it through ConvolveFFTCount to assert the reduction.
 var convolveFFTCalls atomic.Uint64
@@ -60,28 +59,6 @@ var convolveFFTCalls atomic.Uint64
 // region of interest (meaningful only when no concurrent convolutions run).
 func ConvolveFFTCount() uint64 { return convolveFFTCalls.Load() }
 
-// fftScratch pools complex scratch buffers keyed by transform size, so the
-// convolution series loops (hundreds of transforms of identical size per
-// solve) reuse two buffers instead of allocating per call.
-var fftScratch sync.Map // int -> *sync.Pool of *[]complex128
-
-func getScratch(n int) []complex128 {
-	p, ok := fftScratch.Load(n)
-	if !ok {
-		p, _ = fftScratch.LoadOrStore(n, &sync.Pool{New: func() any {
-			buf := make([]complex128, n)
-			return &buf
-		}})
-	}
-	return *p.(*sync.Pool).Get().(*[]complex128)
-}
-
-func putScratch(n int, buf []complex128) {
-	if p, ok := fftScratch.Load(n); ok {
-		p.(*sync.Pool).Put(&buf)
-	}
-}
-
 // fftSize returns the power-of-two transform length covering a linear
 // convolution of the given output length.
 func fftSize(outLen int) int {
@@ -90,35 +67,6 @@ func fftSize(outLen int) int {
 		n <<= 1
 	}
 	return n
-}
-
-// LinearConvolve returns the linear convolution of x and y (length
-// len(x)+len(y)−1) via FFT.  Scratch transforms come from a shared
-// size-keyed pool, so repeated equal-size convolutions do not allocate
-// beyond the result slice.
-func LinearConvolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	outLen := len(x) + len(y) - 1
-	n := fftSize(outLen)
-	fx := getScratch(n)
-	fy := getScratch(n)
-	fillPadded(fx, x)
-	fillPadded(fy, y)
-	FFT(fx, false)
-	FFT(fy, false)
-	for i := range fx {
-		fx[i] *= fy[i]
-	}
-	FFT(fx, true)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fx[i])
-	}
-	putScratch(n, fx)
-	putScratch(n, fy)
-	return out
 }
 
 // fillPadded copies x into the head of buf and zeroes the rest.
@@ -132,44 +80,16 @@ func fillPadded(buf []complex128, x []float64) {
 	}
 }
 
-// ConvolveFFT is the FFT-accelerated equivalent of Grid.Convolve: it
-// returns the trapezoid-weighted density convolution
-// (f*h)(x) = ∫₀ˣ f(x−u)h(u) du tabulated on the receiver's support.  Both
-// grids must share the same step and length.  Results agree with Convolve
-// to rounding error but cost O(n·log n) instead of O(n²).
-//
-// When the same kernel h is applied repeatedly (the β⁽ⁱ⁾ series of eq 4.7),
-// a Convolver is cheaper: it caches the kernel transform and its scratch.
-func (g *Grid) ConvolveFFT(h *Grid) *Grid {
-	if h.Step != g.Step || len(h.Y) != len(g.Y) {
-		panic("numerics: ConvolveFFT requires equal-shape grids")
-	}
-	convolveFFTCalls.Add(1)
-	n := len(g.Y)
-	plain := LinearConvolve(g.Y, h.Y)
-	out := NewGrid(g.Step, n)
-	for i := 1; i < n; i++ {
-		// Trapezoid endpoint correction: the rectangle sum counts the
-		// j = 0 and j = i endpoints with weight 1; trapezoid wants ½.
-		v := plain[i] - 0.5*g.Y[i]*h.Y[0] - 0.5*g.Y[0]*h.Y[i]
-		out.Y[i] = v * g.Step
-	}
-	out.Y[0] = 0
-	return out
-}
-
 // Convolver repeatedly convolves grids against one fixed kernel.  It is
 // the "FFT plan" of the eq 4.7 series loops: the kernel's transform is
 // computed once at construction and every ConvolveInto call then costs a
-// single forward and inverse transform with zero heap allocations, versus
-// ConvolveFFT's two forward transforms plus fresh buffers.  Results are
-// identical to g.ConvolveFFT(kernel) bit for bit (the arithmetic is the
-// same; only the kernel transform is cached).
+// single forward and inverse transform with zero heap allocations.  The
+// result is the trapezoid-weighted density convolution
+// (g*k)(x) = ∫₀ˣ g(x−u)k(u) du tabulated on the kernel's support.
 //
 // A Convolver is not safe for concurrent use; give each goroutine its own.
 type Convolver struct {
 	kernel *Grid
-	n      int          // transform size
 	fk     []complex128 // cached FFT of the zero-padded kernel
 	buf    []complex128 // scratch for the varying operand
 }
@@ -181,13 +101,7 @@ func NewConvolver(kernel *Grid) *Convolver {
 	fk := make([]complex128, n)
 	fillPadded(fk, kernel.Y)
 	FFT(fk, false)
-	return &Convolver{kernel: kernel, n: n, fk: fk, buf: make([]complex128, n)}
-}
-
-// Convolve returns g convolved with the plan's kernel in a fresh grid,
-// exactly as g.ConvolveFFT(kernel) would.
-func (c *Convolver) Convolve(g *Grid) *Grid {
-	return c.ConvolveInto(NewGrid(c.kernel.Step, len(c.kernel.Y)), g)
+	return &Convolver{kernel: kernel, fk: fk, buf: make([]complex128, n)}
 }
 
 // ConvolveInto writes g convolved with the plan's kernel into dst and
@@ -209,9 +123,10 @@ func (c *Convolver) ConvolveInto(dst, g *Grid) *Grid {
 	n := len(g.Y)
 	g0, k0 := g.Y[0], k.Y[0]
 	for i := 1; i < n; i++ {
-		// Same trapezoid endpoint correction as ConvolveFFT; g.Y[i] is
-		// read before dst.Y[i] is written, which keeps dst==g aliasing
-		// safe.
+		// Trapezoid endpoint correction: the rectangle sum counts the
+		// j = 0 and j = i endpoints with weight 1; trapezoid wants ½.
+		// g.Y[i] is read before dst.Y[i] is written, which keeps dst==g
+		// aliasing safe.
 		v := real(c.buf[i]) - 0.5*g.Y[i]*k0 - 0.5*g0*k.Y[i]
 		dst.Y[i] = v * g.Step
 	}

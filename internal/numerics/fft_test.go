@@ -83,8 +83,57 @@ func TestFFTPanicsOnBadLength(t *testing.T) {
 	}
 }
 
+// linearConvolve returns the linear convolution of x and y (length
+// len(x)+len(y)−1) via FFT: two forward transforms, a pointwise product
+// and an inverse.  It checks FFT against a convolution known by hand.
+func linearConvolve(x, y []float64) []float64 {
+	outLen := len(x) + len(y) - 1
+	n := fftSize(outLen)
+	fx := make([]complex128, n)
+	fy := make([]complex128, n)
+	fillPadded(fx, x)
+	fillPadded(fy, y)
+	FFT(fx, false)
+	FFT(fy, false)
+	for i := range fx {
+		fx[i] *= fy[i]
+	}
+	FFT(fx, true)
+	out := make([]float64, outLen)
+	for i := range out {
+		out[i] = real(fx[i])
+	}
+	return out
+}
+
+// convolveDirect is the O(n²) trapezoid-weighted density convolution
+// (f*h)(x) = ∫₀ˣ f(x−u)·h(u) du on f's support: the reference the
+// Convolver's FFT plan must reproduce to rounding error.
+func convolveDirect(f, h *Grid) *Grid {
+	n := len(f.Y)
+	out := NewGrid(f.Step, n)
+	for i := 1; i < n; i++ {
+		limit := min(i, len(h.Y)-1)
+		sum := 0.0
+		for j := 0; j <= limit; j++ {
+			w := 1.0
+			if j == 0 || j == limit {
+				w = 0.5
+			}
+			sum += w * f.Y[i-j] * h.Y[j]
+		}
+		out.Y[i] = sum * f.Step
+	}
+	return out
+}
+
+// convolve runs one out-of-place Convolver application.
+func convolve(kernel, g *Grid) *Grid {
+	return NewConvolver(kernel).ConvolveInto(NewGrid(g.Step, len(g.Y)), g)
+}
+
 func TestLinearConvolveSmall(t *testing.T) {
-	got := LinearConvolve([]float64{1, 2, 3}, []float64{4, 5})
+	got := linearConvolve([]float64{1, 2, 3}, []float64{4, 5})
 	want := []float64{4, 13, 22, 15}
 	if len(got) != len(want) {
 		t.Fatalf("length %d", len(got))
@@ -94,17 +143,14 @@ func TestLinearConvolveSmall(t *testing.T) {
 			t.Fatalf("conv[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if LinearConvolve(nil, []float64{1}) != nil {
-		t.Fatal("empty input should give nil")
-	}
 }
 
 func TestConvolveFFTMatchesDirect(t *testing.T) {
 	step, n := 0.01, 700
 	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, step, n)
 	h := Tabulate(func(x float64) float64 { return 2 * math.Exp(-2*x) }, step, n)
-	direct := f.Convolve(h)
-	fast := f.ConvolveFFT(h)
+	direct := convolveDirect(f, h)
+	fast := convolve(h, f)
 	for i := 0; i < n; i++ {
 		if math.Abs(direct.Y[i]-fast.Y[i]) > 1e-9 {
 			t.Fatalf("mismatch at %d: direct %v, fft %v", i, direct.Y[i], fast.Y[i])
@@ -112,16 +158,7 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestConvolveFFTPanicsOnShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch accepted")
-		}
-	}()
-	NewGrid(1, 8).ConvolveFFT(NewGrid(1, 9))
-}
-
-// Property: FFT convolution equals direct convolution on random densities.
+// Property: the Convolver equals direct convolution on random densities.
 func TestConvolveFFTEquivalenceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rngutil.New(seed)
@@ -132,8 +169,8 @@ func TestConvolveFFTEquivalenceProperty(t *testing.T) {
 			a.Y[i] = r.Float64()
 			b.Y[i] = r.Float64()
 		}
-		d := a.Convolve(b)
-		q := a.ConvolveFFT(b)
+		d := convolveDirect(a, b)
+		q := convolve(b, a)
 		for i := 0; i < n; i++ {
 			if math.Abs(d.Y[i]-q.Y[i]) > 1e-8 {
 				return false
@@ -146,27 +183,54 @@ func TestConvolveFFTEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// The Convolver plan must reproduce ConvolveFFT exactly: it caches the
-// kernel transform but performs the same arithmetic.
+func TestGridConvolveExponentials(t *testing.T) {
+	// Exp(1) density convolved with itself = Erlang-2 density x·e^{−x}.
+	step, n := 0.005, 2001
+	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, step, n)
+	c := convolve(f, f)
+	for _, x := range []float64{0.5, 1, 2, 4} {
+		almost(t, c.Y[int(math.Round(x/step))], x*math.Exp(-x), 2e-3, "Erlang-2 density")
+	}
+}
+
+func TestGridConvolveMassConservation(t *testing.T) {
+	// Convolution of two densities, truncated at T: mass over [0,T] must
+	// not exceed 1 and should approach the true convolution mass.
+	step, n := 0.01, 1200
+	f := Tabulate(func(x float64) float64 { return 2 * math.Exp(-2*x) }, step, n)
+	m := convolve(f, f).IntegralTo(float64(n-1) * step)
+	if m > 1.0001 {
+		t.Fatalf("convolved mass %v exceeds 1", m)
+	}
+	if m < 0.99 {
+		t.Fatalf("convolved mass %v too small (support truncation too harsh)", m)
+	}
+}
+
+// The Convolver plan must reproduce the two-transform FFT convolution
+// exactly: it caches the kernel transform but performs the same
+// arithmetic, also when its scratch is reused.
 func TestConvolverMatchesConvolveFFT(t *testing.T) {
 	step, n := 0.01, 700
 	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, step, n)
 	h := Tabulate(func(x float64) float64 { return 2 * math.Exp(-2*x) }, step, n)
-	want := f.ConvolveFFT(h)
-	cv := NewConvolver(h)
-	got := cv.Convolve(f)
-	for i := 0; i < n; i++ {
-		if got.Y[i] != want.Y[i] {
-			t.Fatalf("plan result differs at %d: %v vs %v", i, got.Y[i], want.Y[i])
+	fresh := func(g *Grid) *Grid {
+		plain := linearConvolve(g.Y, h.Y)
+		out := NewGrid(step, n)
+		for i := 1; i < n; i++ {
+			out.Y[i] = (plain[i] - 0.5*g.Y[i]*h.Y[0] - 0.5*g.Y[0]*h.Y[i]) * step
 		}
+		return out
 	}
-	// Repeated application through the same plan stays exact (scratch is
-	// reused across calls).
-	want2 := want.ConvolveFFT(h)
-	got2 := cv.Convolve(got)
-	for i := 0; i < n; i++ {
-		if got2.Y[i] != want2.Y[i] {
-			t.Fatalf("second application differs at %d: %v vs %v", i, got2.Y[i], want2.Y[i])
+	cv := NewConvolver(h)
+	got, want := f, f
+	for iter := 0; iter < 2; iter++ {
+		want = fresh(want)
+		got = cv.ConvolveInto(NewGrid(step, n), got)
+		for i := 0; i < n; i++ {
+			if got.Y[i] != want.Y[i] {
+				t.Fatalf("application %d: plan result differs at %d: %v vs %v", iter+1, i, got.Y[i], want.Y[i])
+			}
 		}
 	}
 }
@@ -180,7 +244,7 @@ func TestConvolverInPlaceAliasing(t *testing.T) {
 	conv := h.Clone()
 	want := h.Clone()
 	for iter := 0; iter < 5; iter++ {
-		want = cv.Convolve(want)
+		want = cv.ConvolveInto(NewGrid(step, n), want)
 		cv.ConvolveInto(conv, conv)
 		for i := 0; i < n; i++ {
 			if conv.Y[i] != want.Y[i] {
@@ -191,35 +255,36 @@ func TestConvolverInPlaceAliasing(t *testing.T) {
 	}
 }
 
-func TestConvolverPanicsOnShape(t *testing.T) {
+func TestConvolveFFTPanicsOnShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch accepted")
 		}
 	}()
-	NewConvolver(NewGrid(1, 8)).Convolve(NewGrid(1, 9))
+	convolve(NewGrid(1, 8), NewGrid(1, 9))
+}
+
+func TestConvolverPanicsOnShape(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("destination shape mismatch accepted")
+		}
+	}()
+	g := NewGrid(1, 8)
+	NewConvolver(g).ConvolveInto(NewGrid(1, 9), g)
 }
 
 func TestConvolveFFTCountAdvances(t *testing.T) {
 	h := Tabulate(func(x float64) float64 { return math.Exp(-x) }, 0.1, 64)
 	before := ConvolveFFTCount()
-	h.ConvolveFFT(h)
-	NewConvolver(h).Convolve(h)
-	if got := ConvolveFFTCount() - before; got < 2 {
-		t.Fatalf("counter advanced by %d, want >= 2", got)
-	}
-}
-
-func BenchmarkConvolveFFT(b *testing.B) {
-	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, 0.01, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.ConvolveFFT(f)
+	convolve(h, h)
+	if got := ConvolveFFTCount() - before; got < 1 {
+		t.Fatalf("counter advanced by %d, want >= 1", got)
 	}
 }
 
 // BenchmarkConvolverInPlace measures the planned, buffer-reusing path the
-// eq 4.7 series loops run per term; compare against BenchmarkConvolveFFT.
+// eq 4.7 series loops run per term.
 func BenchmarkConvolverInPlace(b *testing.B) {
 	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, 0.01, 4096)
 	cv := NewConvolver(f)

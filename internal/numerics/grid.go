@@ -6,7 +6,7 @@ import (
 
 // Grid is a real function tabulated on the uniform grid {0, Step, 2·Step,
 // ..., (len(Y)-1)·Step}.  It is the common currency between the residual
-// service densities, their convolutions, and the quadrature routines.
+// service densities and their convolutions.
 type Grid struct {
 	Step float64   // spacing between samples; > 0
 	Y    []float64 // samples, Y[i] = f(i*Step)
@@ -30,56 +30,9 @@ func Tabulate(f func(float64) float64, step float64, n int) *Grid {
 	return g
 }
 
-// Len returns the number of samples.
-func (g *Grid) Len() int { return len(g.Y) }
-
-// X returns the abscissa of sample i.
-func (g *Grid) X(i int) float64 { return float64(i) * g.Step }
-
-// At evaluates the grid at an arbitrary x by linear interpolation.  Values
-// outside the tabulated range clamp to the boundary samples.
-func (g *Grid) At(x float64) float64 {
-	if x <= 0 {
-		return g.Y[0]
-	}
-	t := x / g.Step
-	i := int(t)
-	if i >= len(g.Y)-1 {
-		return g.Y[len(g.Y)-1]
-	}
-	frac := t - float64(i)
-	return g.Y[i]*(1-frac) + g.Y[i+1]*frac
-}
-
 // Clone returns an independent deep copy.
 func (g *Grid) Clone() *Grid {
 	return &Grid{Step: g.Step, Y: append([]float64(nil), g.Y...)}
-}
-
-// Scale multiplies every sample by c in place and returns g.
-func (g *Grid) Scale(c float64) *Grid {
-	for i := range g.Y {
-		g.Y[i] *= c
-	}
-	return g
-}
-
-// AddScaled adds c·other to g in place (grids must be compatible) and
-// returns g.
-func (g *Grid) AddScaled(c float64, other *Grid) *Grid {
-	if other.Step != g.Step || len(other.Y) != len(g.Y) {
-		panic("numerics: incompatible grids in AddScaled")
-	}
-	for i := range g.Y {
-		g.Y[i] += c * other.Y[i]
-	}
-	return g
-}
-
-// Integral returns the trapezoidal integral of the grid over its full
-// support [0, (n-1)·step].
-func (g *Grid) Integral() float64 {
-	return g.IntegralTo(float64(len(g.Y)-1) * g.Step)
 }
 
 // IntegralTo returns the trapezoidal integral over [0, x], clamping x to
@@ -103,73 +56,6 @@ func (g *Grid) IntegralTo(x float64) float64 {
 	if frac > 0 && i < len(g.Y)-1 {
 		yEnd := g.Y[i]*(1-frac) + g.Y[i+1]*frac
 		sum += (g.Y[i] + yEnd) / 2 * (frac * g.Step)
-	}
-	return sum
-}
-
-// CumulativeIntegral returns a new grid whose sample i is the trapezoidal
-// integral of g over [0, i·step]; i.e. the running antiderivative.
-func (g *Grid) CumulativeIntegral() *Grid {
-	out := NewGrid(g.Step, len(g.Y))
-	sum := 0.0
-	out.Y[0] = 0
-	for i := 1; i < len(g.Y); i++ {
-		sum += (g.Y[i-1] + g.Y[i]) / 2 * g.Step
-		out.Y[i] = sum
-	}
-	return out
-}
-
-// Convolve returns the convolution (f*h)(x) = ∫₀ˣ f(x−u)·h(u) du of two
-// density grids with the same step, tabulated on the same support length as
-// the receiver.  Trapezoidal weights are used so that convolving smooth
-// densities retains second-order accuracy.
-func (g *Grid) Convolve(h *Grid) *Grid {
-	if h.Step != g.Step {
-		panic("numerics: convolving grids with different steps")
-	}
-	n := len(g.Y)
-	out := NewGrid(g.Step, n)
-	for i := 0; i < n; i++ {
-		// Integrate u from 0 to x_i: Σ w_j f(x_i - u_j) h(u_j) dx.
-		limit := i
-		if limit >= len(h.Y) {
-			limit = len(h.Y) - 1
-		}
-		sum := 0.0
-		for j := 0; j <= limit; j++ {
-			w := 1.0
-			if j == 0 || j == limit {
-				w = 0.5
-			}
-			sum += w * g.Y[i-j] * h.Y[j]
-		}
-		if limit > 0 {
-			out.Y[i] = sum * g.Step
-		} else {
-			out.Y[i] = 0
-		}
-	}
-	return out
-}
-
-// Normalize scales the grid so its full-support integral is 1 (making it a
-// proper density on the truncated support).  It returns the original mass.
-// If the mass is zero the grid is left unchanged.
-func (g *Grid) Normalize() float64 {
-	mass := g.Integral()
-	if mass > 0 {
-		g.Scale(1 / mass)
-	}
-	return mass
-}
-
-// Mean returns ∫ x·g(x) dx over the support (trapezoidal).
-func (g *Grid) Mean() float64 {
-	sum := 0.0
-	for i := 0; i < len(g.Y)-1; i++ {
-		x0, x1 := g.X(i), g.X(i+1)
-		sum += (x0*g.Y[i] + x1*g.Y[i+1]) / 2 * g.Step
 	}
 	return sum
 }

@@ -53,75 +53,6 @@ func InvertLaplaceEuler(L LaplaceFunc, t float64) float64 {
 	return math.Exp(aParam/2) / t * avg
 }
 
-// InvertLaplaceGaver inverts the Laplace transform L at t > 0 using the
-// Gaver–Stehfest method with 2·m real evaluations (no complex arithmetic).
-// In IEEE double precision m = 7 is about the practical limit; accuracy is
-// roughly 1e-5 for smooth functions.  Useful as an independent cross-check
-// of the Euler inversion.
-func InvertLaplaceGaver(L func(s float64) float64, t float64) float64 {
-	if t <= 0 {
-		panic("numerics: InvertLaplaceGaver requires t > 0")
-	}
-	const m = 7
-	weights := stehfestWeights(m)
-	ln2t := math.Ln2 / t
-	sum := 0.0
-	for k := 1; k <= 2*m; k++ {
-		sum += weights[k] * L(float64(k)*ln2t)
-	}
-	return ln2t * sum
-}
-
-// stehfestWeights returns the Stehfest coefficients ζ_1..ζ_{2m} (index 0
-// unused).
-func stehfestWeights(m int) []float64 {
-	w := make([]float64, 2*m+1)
-	for k := 1; k <= 2*m; k++ {
-		sign := 1.0
-		if (k+m)%2 == 1 {
-			sign = -1
-		}
-		sum := 0.0
-		jLo := (k + 1) / 2
-		jHi := k
-		if jHi > m {
-			jHi = m
-		}
-		for j := jLo; j <= jHi; j++ {
-			num := math.Pow(float64(j), float64(m)) * factorial(2*j)
-			den := factorial(m-j) * factorial(j) * factorial(j-1) * factorial(k-j) * factorial(2*j-k)
-			sum += num / den
-		}
-		w[k] = sign * sum
-	}
-	return w
-}
-
-func factorial(n int) float64 {
-	f := 1.0
-	for i := 2; i <= n; i++ {
-		f *= float64(i)
-	}
-	return f
-}
-
-// CDFFromLST tabulates the CDF F(t) of a non-negative random variable from
-// its Laplace–Stieltjes transform φ(s) = E[e^{−sX}], using the identity
-// L{F}(s) = φ(s)/s and Euler inversion.  Results are clamped to [0, 1].
-func CDFFromLST(phi func(s complex128) complex128, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	v := InvertLaplaceEuler(func(s complex128) complex128 { return phi(s) / s }, t)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 // SolveFunctionalFixedPoint solves θ = G(θ, s) for a complex contraction G
 // (used for the M/G/1 busy-period transform θ(s) = B*(s + λ − λθ(s))).
 // It iterates from θ₀ = 0 until successive values differ by less than tol

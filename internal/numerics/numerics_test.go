@@ -2,7 +2,6 @@ package numerics
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 	"testing/quick"
 )
@@ -16,86 +15,19 @@ func almost(t *testing.T, got, want, tol float64, what string) {
 
 // --- Grid -----------------------------------------------------------------
 
-func TestGridTabulateAndAt(t *testing.T) {
-	g := Tabulate(func(x float64) float64 { return 2 * x }, 0.5, 5) // 0..2
-	almost(t, g.At(0.75), 1.5, 1e-12, "linear interpolation")
-	almost(t, g.At(-1), 0, 1e-12, "clamp below")
-	almost(t, g.At(10), 4, 1e-12, "clamp above")
-	if g.Len() != 5 {
-		t.Fatal("len")
-	}
-	almost(t, g.X(3), 1.5, 1e-12, "abscissa")
-}
-
 func TestGridIntegral(t *testing.T) {
 	// ∫₀² 2x dx = 4; trapezoid is exact for linear functions.
 	g := Tabulate(func(x float64) float64 { return 2 * x }, 0.01, 201)
-	almost(t, g.Integral(), 4, 1e-9, "full integral")
 	almost(t, g.IntegralTo(1), 1, 1e-9, "partial integral")
 	almost(t, g.IntegralTo(0.505), 0.505*0.505, 1e-6, "fractional endpoint")
 	almost(t, g.IntegralTo(-1), 0, 0, "negative endpoint")
 	almost(t, g.IntegralTo(100), 4, 1e-9, "clamped endpoint")
 }
 
-func TestGridCumulativeIntegral(t *testing.T) {
-	g := Tabulate(func(x float64) float64 { return 3 * x * x }, 0.001, 1001)
-	ci := g.CumulativeIntegral()
-	// ∫₀ˣ 3u² du = x³.
-	almost(t, ci.At(0.5), 0.125, 1e-5, "cumulative at 0.5")
-	almost(t, ci.At(1.0), 1, 1e-5, "cumulative at 1")
-}
-
-func TestGridConvolveExponentials(t *testing.T) {
-	// Exp(1) density convolved with itself = Erlang-2 density x·e^{−x}.
-	step, n := 0.005, 2001
-	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, step, n)
-	c := f.Convolve(f)
-	for _, x := range []float64{0.5, 1, 2, 4} {
-		want := x * math.Exp(-x)
-		almost(t, c.At(x), want, 2e-3, "Erlang-2 density")
-	}
-}
-
-func TestGridConvolveMassConservation(t *testing.T) {
-	// Convolution of two densities, truncated at T: mass over [0,T] must
-	// not exceed 1 and should approach the true convolution mass.
-	step, n := 0.01, 1200
-	f := Tabulate(func(x float64) float64 { return 2 * math.Exp(-2*x) }, step, n)
-	c := f.Convolve(f)
-	m := c.Integral()
-	if m > 1.0001 {
-		t.Fatalf("convolved mass %v exceeds 1", m)
-	}
-	if m < 0.99 {
-		t.Fatalf("convolved mass %v too small (support truncation too harsh)", m)
-	}
-}
-
-func TestGridScaleAddNormalize(t *testing.T) {
-	g := Tabulate(func(x float64) float64 { return 1 }, 0.1, 11) // ∫ = 1 over [0,1]
-	h := g.Clone()
-	g.Scale(2)
-	almost(t, g.Integral(), 2, 1e-12, "scale")
-	g.AddScaled(-1, h.Clone().Scale(2))
-	almost(t, g.Integral(), 0, 1e-12, "add scaled")
-	h.Scale(5)
-	mass := h.Normalize()
-	almost(t, mass, 5, 1e-12, "normalize returns prior mass")
-	almost(t, h.Integral(), 1, 1e-12, "normalized mass")
-}
-
-func TestGridMean(t *testing.T) {
-	// Uniform density on [0,1]: mean 1/2.
-	g := Tabulate(func(x float64) float64 { return 1 }, 0.001, 1001)
-	almost(t, g.Mean(), 0.5, 1e-6, "uniform mean")
-}
-
 func TestGridPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewGrid(0, 5) },
 		func() { NewGrid(1, 0) },
-		func() { NewGrid(1, 3).AddScaled(1, NewGrid(2, 3)) },
-		func() { NewGrid(1, 3).Convolve(NewGrid(2, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -108,41 +40,7 @@ func TestGridPanics(t *testing.T) {
 	}
 }
 
-// --- Quadrature -----------------------------------------------------------
-
-func TestTrapezoidAndSimpson(t *testing.T) {
-	f := func(x float64) float64 { return math.Sin(x) }
-	want := 1 - math.Cos(2)
-	almost(t, Trapezoid(f, 0, 2, 2000), want, 1e-6, "trapezoid sin")
-	almost(t, Simpson(f, 0, 2, 200), want, 1e-9, "simpson sin")
-	almost(t, Simpson(f, 0, 2, 201), want, 1e-9, "simpson odd n rounds up")
-	almost(t, Trapezoid(f, 1, 1, 10), 0, 0, "empty interval")
-}
-
-func TestAdaptiveSimpson(t *testing.T) {
-	// A peaked integrand that defeats coarse fixed grids.
-	f := func(x float64) float64 { return 1 / (1e-3 + (x-0.3)*(x-0.3)) }
-	want := (math.Atan(0.7/math.Sqrt(1e-3)) + math.Atan(0.3/math.Sqrt(1e-3))) / math.Sqrt(1e-3)
-	got := AdaptiveSimpson(f, 0, 1, 1e-9, 40)
-	almost(t, got, want, 1e-6, "adaptive peaked integrand")
-}
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, root, math.Sqrt2, 1e-10, "sqrt2 root")
-
-	if _, err := Bisect(func(x float64) float64 { return 1 + x*x }, 0, 1, 1e-9); err == nil {
-		t.Fatal("unbracketed root accepted")
-	}
-	// Exact endpoints.
-	r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
-	if err != nil || r != 0 {
-		t.Fatalf("endpoint root: %v, %v", r, err)
-	}
-}
+// --- Minimization -----------------------------------------------------------
 
 func TestGoldenSection(t *testing.T) {
 	min := GoldenSection(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, 0, 5, 1e-9)
@@ -150,47 +48,6 @@ func TestGoldenSection(t *testing.T) {
 	// Reversed bounds are tolerated.
 	min = GoldenSection(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, 5, 0, 1e-9)
 	almost(t, min, 1.7, 1e-7, "reversed bounds")
-}
-
-func TestMinimizeGrid(t *testing.T) {
-	x, v := MinimizeGrid(func(x float64) float64 { return math.Abs(x - 0.32) }, 0, 1, 100)
-	almost(t, x, 0.32, 0.005, "grid minimizer")
-	almost(t, v, 0, 0.005, "grid minimum value")
-}
-
-func TestFixedPoint(t *testing.T) {
-	// x = cos(x) has the Dottie fixed point ~0.739085.
-	x, err := FixedPoint(math.Cos, 0.5, 1, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, x, 0.7390851332151607, 1e-9, "Dottie number")
-
-	// Divergent map errors out.
-	if _, err := FixedPoint(func(x float64) float64 { return 2*x + 1 }, 1, 1, 1e-12, 50); err == nil {
-		t.Fatal("divergent fixed point accepted")
-	}
-	if _, err := FixedPoint(math.Cos, 0.5, 0, 1e-12, 50); err == nil {
-		t.Fatal("invalid damping accepted")
-	}
-	// Damped iteration also converges.
-	x, err = FixedPoint(math.Cos, 0.5, 0.5, 1e-12, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, x, 0.7390851332151607, 1e-8, "damped Dottie")
-}
-
-func TestGeometricSeriesSum(t *testing.T) {
-	// Σ ρ^i with a(i)=1: 1/(1−ρ).
-	sum, terms := GeometricSeriesSum(0.5, func(int) float64 { return 1 }, 1, 1e-12, 1000)
-	almost(t, sum, 2, 1e-9, "plain geometric series")
-	if terms <= 1 {
-		t.Fatal("terms not counted")
-	}
-	// ρ=1 with decaying a(i) = 2^{-i}: Σ = 2.
-	sum, _ = GeometricSeriesSum(1, func(i int) float64 { return math.Exp2(-float64(i)) }, 1, 1e-12, 1000)
-	almost(t, sum, 2, 1e-9, "rho=1 decaying series")
 }
 
 // --- Laplace inversion -----------------------------------------------------
@@ -219,51 +76,6 @@ func TestInvertLaplaceEulerKnownTransforms(t *testing.T) {
 	}
 }
 
-func TestInvertLaplaceGaverKnownTransforms(t *testing.T) {
-	got := InvertLaplaceGaver(func(s float64) float64 { return 1 / (s + 1) }, 1.5)
-	almost(t, got, math.Exp(-1.5), 1e-4, "Gaver exp(-t)")
-	got = InvertLaplaceGaver(func(s float64) float64 { return 1 / s }, 2)
-	almost(t, got, 1, 1e-4, "Gaver constant")
-}
-
-func TestEulerGaverAgree(t *testing.T) {
-	// Both inversions of the Erlang-3 CDF transform must agree.
-	lst := func(s complex128) complex128 {
-		return cmplx.Pow(2/(2+s), 3)
-	}
-	for _, x := range []float64{0.5, 1, 2, 4} {
-		e := InvertLaplaceEuler(func(s complex128) complex128 { return lst(s) / s }, x)
-		g := InvertLaplaceGaver(func(s float64) float64 { return real(lst(complex(s, 0))) / s }, x)
-		almost(t, e, g, 1e-3, "Euler vs Gaver")
-	}
-}
-
-func TestCDFFromLST(t *testing.T) {
-	// Exponential(1): F(t) = 1 − e^{−t}.
-	phi := func(s complex128) complex128 { return 1 / (1 + s) }
-	for _, x := range []float64{0.1, 0.5, 1, 3} {
-		almost(t, CDFFromLST(phi, x), 1-math.Exp(-x), 1e-6, "exp CDF from LST")
-	}
-	if CDFFromLST(phi, 0) != 0 {
-		t.Fatal("CDF at 0 should be 0")
-	}
-	if CDFFromLST(phi, -1) != 0 {
-		t.Fatal("CDF at negative t should be 0")
-	}
-}
-
-func TestCDFFromLSTClamped(t *testing.T) {
-	// Deterministic(1) has an oscillatory inversion near the jump; clamping
-	// must keep values in [0,1].
-	phi := func(s complex128) complex128 { return cmplx.Exp(-s) }
-	for x := 0.05; x < 3; x += 0.05 {
-		v := CDFFromLST(phi, x)
-		if v < 0 || v > 1 {
-			t.Fatalf("unclamped CDF value %v at %v", v, x)
-		}
-	}
-}
-
 func TestSolveFunctionalFixedPoint(t *testing.T) {
 	// Busy period of M/M/1: θ(s) = μ/(μ+s+λ−λθ); closed form known.
 	lambda, mu, s := 0.5, 1.0, 0.3
@@ -286,20 +98,6 @@ func TestInversionPanics(t *testing.T) {
 	InvertLaplaceEuler(func(s complex128) complex128 { return 1 / s }, 0)
 }
 
-// Property: trapezoid and Simpson agree on smooth integrands.
-func TestQuadratureAgreementProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		lo, hi := math.Mod(math.Abs(a), 3), math.Mod(math.Abs(a), 3)+math.Mod(math.Abs(b), 3)+0.1
-		g := func(x float64) float64 { return math.Exp(-x) * math.Cos(x) }
-		t1 := Trapezoid(g, lo, hi, 4000)
-		s1 := Simpson(g, lo, hi, 400)
-		return math.Abs(t1-s1) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Grid.IntegralTo is monotone in its endpoint for non-negative
 // integrands.
 func TestIntegralMonotoneProperty(t *testing.T) {
@@ -311,14 +109,6 @@ func TestIntegralMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkConvolve(b *testing.B) {
-	f := Tabulate(func(x float64) float64 { return math.Exp(-x) }, 0.01, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Convolve(f)
 	}
 }
 

@@ -321,17 +321,6 @@ func (q *Queue[T]) NewestTwoBelow(hi float64) (k1, k2 float64) {
 	return k[0], k[1]
 }
 
-// FirstIn returns the oldest live item with key in [lo, hi) without
-// removing it.
-func (q *Queue[T]) FirstIn(lo, hi float64) (key float64, item T, ok bool) {
-	idx := q.firstIn(lo, hi)
-	if idx < 0 {
-		var zero T
-		return 0, zero, false
-	}
-	return q.keys[idx], q.items[idx], true
-}
-
 // PopFirstIn removes and returns the oldest live item with key in
 // [lo, hi).
 func (q *Queue[T]) PopFirstIn(lo, hi float64) (key float64, item T, ok bool) {

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// FirstIn returns the oldest live item with key in [lo, hi) without
+// removing it: the tests' probe of firstIn, which PopFirstIn runs.
+func (q *Queue[T]) FirstIn(lo, hi float64) (key float64, item T, ok bool) {
+	idx := q.firstIn(lo, hi)
+	if idx < 0 {
+		var zero T
+		return 0, zero, false
+	}
+	return q.keys[idx], q.items[idx], true
+}
+
 // refQueue is the naive sorted-slice reference model the optimized queue
 // must agree with operation for operation.
 type refQueue struct {

@@ -39,15 +39,6 @@ func (q MG1) validate() error {
 	return nil
 }
 
-// MeanWait returns the Pollaczek–Khinchine mean waiting time
-// λ·E[X²] / (2(1−ρ)).
-func (q MG1) MeanWait() (float64, error) {
-	if err := q.validate(); err != nil {
-		return 0, err
-	}
-	return q.Lambda * q.Service.SecondMoment() / (2 * (1 - q.Rho())), nil
-}
-
 // WaitCDF evaluates the FCFS waiting-time distribution at the given points
 // using the Beneš / Takács series
 //
@@ -199,18 +190,11 @@ func (q MG1) LossFCFSGrid(ks []float64) ([]float64, error) {
 
 // busyPeriodLST returns the busy-period transform θ(s), the unique root in
 // the unit disk of θ = B*(s + λ − λθ), by functional iteration.
-func (q MG1) busyPeriodLST(s complex128) (complex128, error) {
+func (q MG1) busyPeriodLST(s complex128) complex128 {
 	lambda := complex(q.Lambda, 0)
-	var iterErr error
-	theta := numerics.SolveFunctionalFixedPoint(func(th complex128) complex128 {
-		v, err := dist.LSTComplex(q.Service, s+lambda-lambda*th)
-		if err != nil {
-			iterErr = err
-			return th
-		}
-		return v
+	return numerics.SolveFunctionalFixedPoint(func(th complex128) complex128 {
+		return q.Service.LST(s + lambda - lambda*th)
 	}, 1e-13, 20000)
-	return theta, iterErr
 }
 
 // waitLSTLCFS returns the waiting-time LST of the non-preemptive LCFS
@@ -223,24 +207,18 @@ func (q MG1) busyPeriodLST(s complex128) (complex128, error) {
 // service of the customer in service plus the full sub-busy periods of
 // everyone arriving during that residual time (they are younger and go
 // first under LCFS).
-func (q MG1) waitLSTLCFS(s complex128) (complex128, error) {
+func (q MG1) waitLSTLCFS(s complex128) complex128 {
 	rho := q.Rho()
-	theta, err := q.busyPeriodLST(s)
-	if err != nil {
-		return 0, err
-	}
+	theta := q.busyPeriodLST(s)
 	u := s + complex(q.Lambda, 0)*(1-theta)
-	bu, err := dist.LSTComplex(q.Service, u)
-	if err != nil {
-		return 0, err
-	}
+	bu := q.Service.LST(u)
 	var rStar complex128
 	if u == 0 {
 		rStar = 1
 	} else {
 		rStar = (1 - bu) / (u * complex(q.Service.Mean(), 0))
 	}
-	return complex(1-rho, 0) + complex(rho, 0)*rStar, nil
+	return complex(1-rho, 0) + complex(rho, 0)*rStar
 }
 
 // WaitCDFLCFS evaluates the LCFS-NP waiting-time distribution at w > 0 by
@@ -253,18 +231,9 @@ func (q MG1) WaitCDFLCFS(w float64) (float64, error) {
 	if w <= 0 {
 		return 1 - q.Rho(), nil
 	}
-	var inner error
 	v := numerics.InvertLaplaceEuler(func(s complex128) complex128 {
-		lst, err := q.waitLSTLCFS(s)
-		if err != nil {
-			inner = err
-			return 0
-		}
-		return lst / s
+		return q.waitLSTLCFS(s) / s
 	}, w)
-	if inner != nil {
-		return 0, inner
-	}
 	lo := 1 - q.Rho()
 	if v < lo {
 		v = lo
@@ -301,30 +270,4 @@ func (q MG1) LossLCFSGrid(ks []float64) ([]float64, error) {
 		out[i] = loss
 	}
 	return out, nil
-}
-
-// MeanWaitLCFS integrates the LCFS waiting tail numerically:
-// E[W] = ∫₀^∞ P(W > t) dt.  For the non-preemptive LCFS discipline this
-// must equal the FCFS (PK) mean — a strong internal consistency check used
-// by the tests.
-func (q MG1) MeanWaitLCFS(upTo float64, panels int) (float64, error) {
-	if err := q.validate(); err != nil {
-		return 0, err
-	}
-	var inner error
-	v := numerics.Trapezoid(func(t float64) float64 {
-		if t == 0 {
-			return q.Rho()
-		}
-		cdf, err := q.WaitCDFLCFS(t)
-		if err != nil {
-			inner = err
-			return 0
-		}
-		return 1 - cdf
-	}, 0, upTo, panels)
-	if inner != nil {
-		return 0, inner
-	}
-	return v, nil
 }

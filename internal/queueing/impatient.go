@@ -126,16 +126,6 @@ func (q ImpatientMG1) validate(k float64) error {
 	return nil
 }
 
-// residualGrid tabulates the residual-service density
-// β(w) = (1 − B(w))/E[X] on [0, k].
-func (q ImpatientMG1) residualGrid(k float64) *numerics.Grid {
-	step := q.Step
-	if step <= 0 {
-		step = math.Min(k, q.Service.Mean()) / 512
-	}
-	return q.residualGridStep(k, step)
-}
-
 // residualGridStep tabulates β on [0, k] at an explicit spacing.
 func (q ImpatientMG1) residualGridStep(k, step float64) *numerics.Grid {
 	n := int(k/step) + 2
@@ -161,7 +151,11 @@ func (q ImpatientMG1) AcceptedWaitCDF(k float64, ws []float64) ([]float64, error
 		}
 	}
 	rho := q.Lambda * q.Service.Mean()
-	beta := q.residualGrid(k)
+	step := q.Step
+	if step <= 0 {
+		step = math.Min(k, q.Service.Mean()) / 512
+	}
+	beta := q.residualGridStep(k, step)
 	maxTerms := q.MaxTerms
 	if maxTerms <= 0 {
 		maxTerms = 4096

@@ -252,3 +252,45 @@ func TestGeometricVsExactModeAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestControlledLossPastSaturation solves eq. 4.7 past saturation over
+// Figure 7's K/M axis.  For ρ > 1 the loss 1 − z/(1+ρz) lies in
+// [1 − 1/ρ, 1] for every z, and the series stops once the loss is pinned
+// within tol of its floor.  Before that rule the series ran into
+// "convolution series did not converge in 4096 terms" after seconds (ρ′
+// = 50 at K/M ≥ 3, ρ′ = 5 at K/M = 8) or returned a NaN loss with a nil
+// error (ρ′ = 10⁹ at K/M ≤ 1).  Where the unfinished-work ODE is finite
+// it is an independent path to the same loss.
+func TestControlledLossPastSaturation(t *testing.T) {
+	const m = 25
+	for _, rhoPrime := range []float64{2, 5, 50, 1e9} {
+		for _, km := range []float64{0.5, 1, 1.5, 2, 3, 4, 6, 8} { // Figure 7's K/M axis
+			model := ProtocolModel{Tau: 1, M: m, RhoPrime: rhoPrime}
+			k := km * m
+			res, err := model.ControlledLoss(k)
+			if err != nil {
+				t.Errorf("ρ′=%g K/M=%g: %v", rhoPrime, km, err)
+				continue
+			}
+			// The loss may round one ulp below the floor once z is huge.
+			floor := 1 - 1/res.Rho
+			if math.IsNaN(res.Loss) || res.Loss < floor-1e-15 || res.Loss > 1 {
+				t.Errorf("ρ′=%g K/M=%g: loss %v outside [1 − 1/ρ, 1] = [%v, 1] (ρ=%v)",
+					rhoPrime, km, res.Loss, floor, res.Rho)
+				continue
+			}
+			svc, err := model.Service(model.WindowContent(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ode, err := UnfinishedWorkODE{Lambda: model.Lambda(), Service: svc, Steps: 8192}.Solve(k)
+			if err != nil || math.IsNaN(ode.Loss) || math.IsInf(ode.Loss, 0) {
+				continue
+			}
+			if d := math.Abs(ode.Loss - res.Loss); d > 1e-5 {
+				t.Errorf("ρ′=%g K/M=%g: eq. 4.7 loss %v, ODE %v (|Δ| = %.3g > 1e-5)",
+					rhoPrime, km, res.Loss, ode.Loss, d)
+			}
+		}
+	}
+}

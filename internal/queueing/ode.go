@@ -43,7 +43,7 @@ type ODEResult struct {
 	// ServerIdle is P(0).
 	ServerIdle float64
 	// WorkCDF is the distribution of unfinished work on [0, K], already
-	// scaled so WorkCDF.At(0) = P(0); WorkCDF.At(K) = p(accept).
+	// scaled so its first sample is P(0) and its last p(accept).
 	WorkCDF *numerics.Grid
 }
 

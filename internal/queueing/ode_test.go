@@ -53,13 +53,13 @@ func TestODEWorkCDFProperties(t *testing.T) {
 		t.Fatalf("F(0) = %v, want P(0) = %v", f.Y[0], ode.ServerIdle)
 	}
 	prev := f.Y[0]
-	for i := 1; i < f.Len(); i++ {
+	for i := 1; i < len(f.Y); i++ {
 		if f.Y[i] < prev-1e-9 {
 			t.Fatalf("work CDF decreasing at %d", i)
 		}
 		prev = f.Y[i]
 	}
-	accept := f.Y[f.Len()-1]
+	accept := f.Y[len(f.Y)-1]
 	if math.Abs((1-accept)-ode.Loss) > 1e-9 {
 		t.Fatalf("F(K) = %v inconsistent with loss %v", accept, ode.Loss)
 	}
@@ -78,7 +78,7 @@ func TestODEMatchesMM1ClosedFormDensity(t *testing.T) {
 	for _, w := range []float64{0.5, 1, 1.5, 2} {
 		// F(w) = P0·(1 + λ/(λ−μ)·(e^{(λ−μ)w} − 1)) for λ ≠ μ.
 		want := p0 * (1 + lambda/(lambda-mu)*(math.Exp((lambda-mu)*w)-1))
-		got := ode.WorkCDF.At(w)
+		got := ode.WorkCDF.Y[int(math.Round(w/ode.WorkCDF.Step))]
 		if math.Abs(got-want) > 2e-3 {
 			t.Fatalf("F(%v) = %v, closed form %v", w, got, want)
 		}

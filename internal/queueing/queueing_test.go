@@ -241,19 +241,6 @@ func TestMM1WaitClosedForm(t *testing.T) {
 	}
 }
 
-func TestPKMeanWait(t *testing.T) {
-	// M/D/1: E[W] = ρ·x/(2(1−ρ)).
-	q := MG1{Lambda: 0.5, Service: dist.NewDeterministic(1)}
-	mw, err := q.MeanWait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5 * 1 / (2 * 0.5)
-	if math.Abs(mw-want) > 1e-12 {
-		t.Fatalf("PK mean %v, want %v", mw, want)
-	}
-}
-
 func TestFCFSLossAgainstSimulation(t *testing.T) {
 	lambda := 0.75
 	svc := dist.NewExponential(1)
@@ -311,16 +298,27 @@ func TestLCFSAtZeroAndMonotone(t *testing.T) {
 }
 
 func TestLCFSMeanEqualsFCFSMean(t *testing.T) {
-	// Non-preemptive LCFS has the same mean wait as FCFS (both PK).
+	// Non-preemptive LCFS has the same mean wait as FCFS: the PK mean
+	// λ·E[X²]/(2(1−ρ)), which is 1.5 for M/M/1 at λ = 0.6, μ = 1.  The
+	// LCFS mean is E[W] = ∫₀^∞ P(W > t) dt over the inverted tail,
+	// integrated by the trapezoid rule on [0, 60].
 	q := MG1{Lambda: 0.6, Service: dist.NewExponential(1)}
-	pk, err := q.MeanWait()
-	if err != nil {
-		t.Fatal(err)
+	pk := 0.6 * 2 / (2 * (1 - 0.6))
+	const upTo, panels = 60.0, 600
+	h := upTo / panels
+	lc := q.Rho() / 2 // P(W > 0) = ρ, half-weighted
+	for i := 1; i <= panels; i++ {
+		cdf, err := q.WaitCDFLCFS(float64(i) * h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := 1.0
+		if i == panels {
+			w = 0.5
+		}
+		lc += w * (1 - cdf)
 	}
-	lc, err := q.MeanWaitLCFS(60, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lc *= h
 	if math.Abs(lc-pk) > 0.02*pk {
 		t.Fatalf("LCFS mean %v, PK mean %v", lc, pk)
 	}

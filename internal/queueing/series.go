@@ -35,9 +35,11 @@ type seriesReq struct {
 	clamp bool
 	// tol freezes the request once its term drops below this value.
 	tol float64
-	// rhoGuard additionally requires mass < 1/(2ρ) before freezing when
-	// ρ ≥ 1 (the impatient queue is stable beyond ρ = 1; the plain Beneš
-	// series is only ever run with ρ < 1 and does not need the guard).
+	// rhoGuard marks the eq 4.7 z-series, whose queue is stable beyond
+	// ρ = 1.  Past saturation its terms grow before they decay, so it
+	// freezes on a small term only once mass < 1/(2ρ), and it also
+	// freezes once the loss is pinned (see runSeries).  The plain Beneš
+	// series is only ever run with ρ < 1 and needs neither.
 	rhoGuard bool
 
 	// sum accumulates 1 + Σ ρ^i·mass_i; terms counts the summed terms
@@ -89,8 +91,15 @@ func runSeries(rho float64, beta *numerics.Grid, maxTerms int, reqs []*seriesReq
 			r.terms = i + 1
 			// Tail bound: a_{i+j} <= a_i · a₁^j is valid but a₁ can
 			// exceed 1/ρ early on; stop when the current term is tiny
-			// and (for the guarded series) provably decaying.
-			if term < r.tol && (!r.rhoGuard || rho < 1 || mass < 1/(2*rho)) {
+			// and (for the guarded series) provably decaying.  Past
+			// saturation, the loss 1 − z/(1+ρz) falls toward its floor
+			// 1 − 1/ρ as z grows, and the partial sum's loss lies
+			// exactly 1/(ρ(1+ρz)) above that floor.  The true z is at
+			// least the partial sum, so once that gap is below tol the
+			// true loss is pinned between the floor and the partial
+			// loss, however far the terms have yet to run.
+			if term < r.tol && (!r.rhoGuard || rho < 1 || mass < 1/(2*rho)) ||
+				r.rhoGuard && rho > 1 && 1/(rho*(1+rho*r.sum)) < r.tol {
 				r.done = true
 				remaining--
 			}

@@ -67,9 +67,6 @@ func New(seed uint64) *Stream {
 	return &st
 }
 
-// Seed returns the seed the stream was created with.
-func (r *Stream) Seed() uint64 { return r.seed }
-
 // Clone returns an independent replica at the stream's current position:
 // the clone and the original produce the same future draws.  This supports
 // the protocol's common-randomness policies, where every station holds a
@@ -137,15 +134,6 @@ func Seeded(seed uint64) Stream {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
 	return st
-}
-
-// SpawnN returns n independent child streams (see Spawn).
-func (r *Stream) SpawnN(n int) []*Stream {
-	out := make([]*Stream, n)
-	for i := range out {
-		out[i] = r.Spawn()
-	}
-	return out
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 random bits.
@@ -283,14 +271,5 @@ func (r *Stream) Normal() float64 {
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
-	}
-}
-
-// Shuffle pseudo-randomly permutes the first n elements using swap, in the
-// manner of the Fisher-Yates shuffle.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

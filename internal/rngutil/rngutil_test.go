@@ -68,10 +68,9 @@ func TestSpawnIndependentOfConsumption(t *testing.T) {
 
 func TestSpawnChildrenDistinct(t *testing.T) {
 	p := New(9)
-	kids := p.SpawnN(8)
 	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
+	for i := 0; i < 8; i++ {
+		v := p.Spawn().Uint64()
 		if seen[v] {
 			t.Fatal("two spawned children produced the same first draw")
 		}
@@ -260,19 +259,6 @@ func TestBernoulliProbability(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(13)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if v < 0 || v >= len(xs) || seen[v] {
-			t.Fatalf("not a permutation: %v", xs)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFloat64OpenNeverZero(t *testing.T) {
 	r := New(14)
 	for i := 0; i < 100000; i++ {
@@ -360,9 +346,11 @@ func TestChildSeedMatchesSpawn(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, ^uint64(0)} {
 		root := New(seed)
 		for k := uint64(1); k <= 64; k++ {
-			child := root.Spawn()
-			if got, want := ChildSeed(seed, k), child.Seed(); got != want {
-				t.Fatalf("ChildSeed(%#x, %d) = %#x, Spawn gave %#x", seed, k, got, want)
+			child, byseed := root.Spawn(), New(ChildSeed(seed, k))
+			for i := 0; i < 4; i++ {
+				if got, want := byseed.Uint64(), child.Uint64(); got != want {
+					t.Fatalf("ChildSeed(%#x, %d): draw %d is %#x, Spawn's child drew %#x", seed, k, i, got, want)
+				}
 			}
 		}
 	}

@@ -17,8 +17,7 @@
 // (an empty half costs one idle slot and the sibling, known to hold all n,
 // is split immediately; an isolated message ends the process; a colliding
 // half recurses).  The package computes h(n) exactly, mixes over the
-// Poisson content law, optimizes G, and exports both the paper-faithful
-// geometric service model of [Kurose 83] and an exact slot-count
+// Poisson content law, optimizes G, and exports the exact slot-count
 // distribution for higher-fidelity analytic runs.
 package sched
 
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"windowctl/internal/dist"
 	"windowctl/internal/numerics"
 )
 
@@ -240,42 +238,4 @@ func geometricMix(selfP float64, branch []float64, maxSlots int) []float64 {
 	tail := math.Pow(selfP, float64(maxSlots))
 	out[maxSlots-1] += tail
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Service-time constructors for the queueing model
-// ---------------------------------------------------------------------------
-
-// GeometricService returns the paper-faithful service law of [Kurose 83]:
-// a geometrically distributed number of wasted slots with the given mean
-// (in slots), each of duration tau, plus the constant transmission time
-// txTime.  meanSlots = 0 yields the pure transmission time.
-func GeometricService(meanSlots, tau, txTime float64) dist.Distribution {
-	if meanSlots < 0 || tau <= 0 || txTime < 0 {
-		panic("sched: invalid GeometricService parameters")
-	}
-	return dist.NewShifted(dist.NewGeometricLattice(meanSlots, tau), txTime)
-}
-
-// ExactService returns the service law built from the exact slot PMF for
-// content G: wasted slots distributed as SlotPMF(G), each of duration tau,
-// plus the constant transmission time txTime.
-func ExactService(g, tau, txTime float64, maxSlots int) (dist.Distribution, error) {
-	pmf := SlotPMF(g, maxSlots)
-	xs := make([]float64, len(pmf))
-	for j := range pmf {
-		xs[j] = txTime + float64(j)*tau
-	}
-	emp, err := dist.NewEmpirical(xs, pmf)
-	if err != nil {
-		return nil, fmt.Errorf("sched: building exact service law: %w", err)
-	}
-	return emp, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -238,72 +238,6 @@ func TestSlotPMFAgainstSimulation(t *testing.T) {
 	}
 }
 
-func TestServiceConstructors(t *testing.T) {
-	gs := GeometricService(2, 0.5, 10)
-	if math.Abs(gs.Mean()-(10+1)) > 1e-12 {
-		t.Fatalf("geometric service mean %v, want 11", gs.Mean())
-	}
-	// Zero scheduling overhead degenerates to the transmission time.
-	gz := GeometricService(0, 0.5, 10)
-	if math.Abs(gz.Mean()-10) > 1e-12 {
-		t.Fatal("zero-overhead service mean")
-	}
-	es, err := ExactService(1.0, 0.5, 10, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10 + Analyze(1.0).TotalSlots()*0.5
-	if math.Abs(es.Mean()-want) > 0.01 {
-		t.Fatalf("exact service mean %v, want %v", es.Mean(), want)
-	}
-	if es.CDF(9.99) != 0 {
-		t.Fatal("service below transmission time")
-	}
-}
-
-func TestTwoPointFit(t *testing.T) {
-	f, err := NewTwoPointFit(1.1, 6.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact at the anchors.
-	for _, g := range []float64{1.1, 6.0} {
-		got, err := f.MeanSlots(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Analyze(g).TotalSlots()
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("fit not exact at anchor %v: %v vs %v", g, got, want)
-		}
-	}
-	// In between (congested branch): within 25% of exact — quantifying
-	// what the historical approximation gives up.
-	worst, err := f.MaxRelativeError(1.1, 6.0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 0.25 {
-		t.Fatalf("two-point fit error %v too large inside the anchors", worst)
-	}
-	if worst == 0 {
-		t.Fatal("fit suspiciously exact everywhere")
-	}
-	// Validation.
-	if _, err := NewTwoPointFit(0, 1); err == nil {
-		t.Fatal("bad anchors accepted")
-	}
-	if _, err := NewTwoPointFit(2, 1); err == nil {
-		t.Fatal("reversed anchors accepted")
-	}
-	if _, err := f.MeanSlots(0); err == nil {
-		t.Fatal("zero content accepted")
-	}
-	if _, err := f.MaxRelativeError(1, 1, 5); err == nil {
-		t.Fatal("bad scan range accepted")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() { HMeans(1) },
@@ -311,8 +245,6 @@ func TestPanics(t *testing.T) {
 		func() { Analyze(math.NaN()) },
 		func() { SlotPMF(0, 10) },
 		func() { SlotPMF(1, 1) },
-		func() { GeometricService(-1, 1, 1) },
-		func() { GeometricService(1, 0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -26,9 +26,6 @@ func TestAdaptiveRateConvergesToTruth(t *testing.T) {
 		if math.Abs(est.Rate()-lambda) > 0.25*lambda {
 			t.Fatalf("seeded at %v: estimate %v, truth %v", wrong, est.Rate(), lambda)
 		}
-		if !est.Seeded() {
-			t.Fatal("estimator never observed anything")
-		}
 	}
 }
 

@@ -121,10 +121,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// RhoPrime returns the normalized offered load λ′·M·τ of the
-// configuration.
-func (c Config) RhoPrime() float64 { return c.Lambda * c.M * c.Tau }
-
 // globalState is the single-view protocol simulation: because every
 // station's state machine is a deterministic function of the common
 // feedback, the network evolves exactly like one queue of arrival times

@@ -25,12 +25,6 @@ import (
 // addresses.
 type Transform func(w window.Window) window.Window
 
-// IdentityTransform leaves the window unchanged (a perfectly synchronized
-// station).
-func IdentityTransform() Transform {
-	return func(w window.Window) window.Window { return w }
-}
-
 // PriorityStretch scales the membership window's length by factor around
 // its newest edge: factor > 1 raises the station's priority (it answers
 // probes for a wider slice of the past), factor < 1 lowers it.  Below the

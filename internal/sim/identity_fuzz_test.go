@@ -1,9 +1,10 @@
 package sim
 
 // FuzzEngineIdentities drives small random configurations through the
-// batch engines and the stepped one and holds them to the identities the
-// engines promise: each pair of runs below must return the same report
-// and leave the same collector, or both must reject the configuration.
+// batch engines, the stepped one and RunHeterogeneous, and holds them to
+// the identities the engines promise: each pair of runs below must return
+// the same report and leave the same collector, or both must reject the
+// configuration.
 //
 // The seed corpus is in testdata/fuzz/FuzzEngineIdentities, one
 // file per input, named after what it exercises.  Run it beyond the
@@ -90,7 +91,7 @@ func runIdentity(cfg MultiConfig, run func(MultiConfig) (Report, error)) identit
 // describe names a config in a failure message.
 func describe(cfg MultiConfig) string {
 	return fmt.Sprintf("τ=%g M=%g ρ′=%.2f K=%g %s stations=%d faults=%v MaxBacklog=%d",
-		cfg.Tau, cfg.M, cfg.RhoPrime(), cfg.K, cfg.Policy.Name(), cfg.Stations, cfg.Faults.Enabled(), cfg.MaxBacklog)
+		cfg.Tau, cfg.M, cfg.Lambda*cfg.M*cfg.Tau, cfg.K, cfg.Policy.Name(), cfg.Stations, cfg.Faults.Enabled(), cfg.MaxBacklog)
 }
 
 // sameRun fails t unless a and b agree: both rejected, or neither did
@@ -152,7 +153,7 @@ func idleRunIdentity(t *testing.T, name string, mk func() MultiConfig, limit, un
 		if a.Now() != b.Now() {
 			t.Fatalf("%s: Now() = %v after a %d-slot idle run, %v after as many Steps", name, a.Now(), slots, b.Now())
 		}
-		if ca, cb := a.g.tracker.ClearedIntervals(), b.g.tracker.ClearedIntervals(); !reflect.DeepEqual(ca, cb) {
+		if ca, cb := a.g.tracker.AppendCleared(nil), b.g.tracker.AppendCleared(nil); !reflect.DeepEqual(ca, cb) {
 			t.Fatalf("%s: cleared region %v after a %d-slot idle run, %v after as many Steps", name, ca, slots, cb)
 		}
 		if slots > 0 {
@@ -205,6 +206,13 @@ func FuzzEngineIdentities(f *testing.F) {
 		withDescent := global(true)
 		sameRun(t, name+": "+"Poisson RunMultiStation vs RunGlobal", shared, withDescent)
 		sameRun(t, name+": "+"two-key descent on vs off", withDescent, global(false))
+		// identityCase sets none of the global-only fields that
+		// RunHeterogeneous rejects, so every input is one it accepts.
+		sameRun(t, name+": "+"RunHeterogeneous with nil transforms vs RunMultiStation", shared,
+			runIdentity(mk(), func(c MultiConfig) (Report, error) {
+				h, err := RunHeterogeneous(HeterogeneousConfig{Config: c.Config, Transforms: make([]Transform, c.Stations)})
+				return h.Report, err
+			}))
 		idleRunIdentity(t, name, mk, limit, until)
 	})
 }

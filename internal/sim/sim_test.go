@@ -187,7 +187,7 @@ func TestWaitHistogramConsistentWithLoss(t *testing.T) {
 	if rep.LostSender != 0 {
 		t.Fatal("FCFS baseline discarded at sender")
 	}
-	tail := rep.WaitHist.Tail(cfg.K)
+	tail := 1 - rep.WaitHist.CDF(cfg.K)
 	lateFrac := float64(rep.LostLate) / float64(rep.AcceptedInTime+rep.LostLate)
 	if math.Abs(tail-lateFrac) > 0.01 {
 		t.Fatalf("histogram tail %v vs late fraction %v", tail, lateFrac)

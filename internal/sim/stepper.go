@@ -219,7 +219,3 @@ func (s *Stepper) Finish() (Report, error) {
 	}
 	return s.rep, nil
 }
-
-// Report returns the finalized report; it is only meaningful after
-// Finish.
-func (s *Stepper) Report() Report { return s.rep }

@@ -461,7 +461,7 @@ func TestStepperIdleRunMatchesSteps(t *testing.T) {
 					if a.Now() != b.Now() {
 						t.Fatalf("Now() = %v after a %d-slot idle run, %v after as many Steps", a.Now(), slots, b.Now())
 					}
-					if ca, cb := a.g.tracker.ClearedIntervals(), b.g.tracker.ClearedIntervals(); !reflect.DeepEqual(ca, cb) {
+					if ca, cb := a.g.tracker.AppendCleared(nil), b.g.tracker.AppendCleared(nil); !reflect.DeepEqual(ca, cb) {
 						t.Fatalf("cleared region %#v after a %d-slot idle run, %#v after as many Steps", ca, slots, cb)
 					}
 					runs++

@@ -109,72 +109,6 @@ func (m *Model) Evaluate(pol Policy) (Solution, error) {
 	}, nil
 }
 
-// StationaryDistribution returns the stationary distribution of the
-// embedded decision chain under the given policy (π solving π = πP), the
-// fraction of *time* spent in each state (duration-weighted), and an
-// independent estimate of the gain via the renewal-reward identity
-//
-//	g = Σ_i π_i·r_i / Σ_i π_i·τ̄_i ,
-//
-// which the tests check against Evaluate — two different computations of
-// the same quantity (linear value equations vs. stationary averaging).
-func (m *Model) StationaryDistribution(pol Policy) (embedded, timeWeighted []float64, gain float64, err error) {
-	if err := m.validatePolicy(pol); err != nil {
-		return nil, nil, 0, err
-	}
-	n := m.K + 1
-	// Solve π(P − I) = 0 with Σπ = 1: transpose into (Pᵀ − I)π = 0 and
-	// replace the last equation by the normalization.
-	A := linalg.NewMatrix(n, n)
-	b := make([]float64, n)
-	losses := make([]float64, n)
-	times := make([]float64, n)
-	for i := 0; i <= m.K; i++ {
-		tr, err := m.Transitions(i, pol[i])
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		losses[i] = tr.ExpLoss
-		times[i] = tr.ExpTime
-		for j := 0; j <= m.K; j++ {
-			A.Add(j, i, tr.NextProb[j]) // column i of Pᵀ rows
-		}
-	}
-	for i := 0; i < n; i++ {
-		A.Add(i, i, -1)
-	}
-	for j := 0; j < n; j++ {
-		A.Set(n-1, j, 1) // normalization row
-	}
-	b[n-1] = 1
-	pi, err := linalg.Solve(A, b)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("smdp: stationary solve: %w", err)
-	}
-	// Clamp tiny negative round-off and renormalize.
-	sum := 0.0
-	for i := range pi {
-		if pi[i] < 0 {
-			pi[i] = 0
-		}
-		sum += pi[i]
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
-	lossRate, timeRate := 0.0, 0.0
-	tw := make([]float64, n)
-	for i := range pi {
-		lossRate += pi[i] * losses[i]
-		timeRate += pi[i] * times[i]
-		tw[i] = pi[i] * times[i]
-	}
-	for i := range tw {
-		tw[i] /= timeRate
-	}
-	return pi, tw, lossRate / timeRate, nil
-}
-
 // PolicyIteration runs Howard's algorithm from the heuristic policy (or
 // from the supplied initial policy, if non-nil) and returns the optimal
 // window-length rule with its gain.  It errors if the iteration fails to

@@ -15,7 +15,6 @@ package station
 
 import (
 	"fmt"
-	"math"
 
 	"windowctl/internal/pendq"
 	"windowctl/internal/rngutil"
@@ -38,15 +37,6 @@ type ArrivalProcess interface {
 	// String describes the process.
 	String() string
 }
-
-// Poisson is a Poisson arrival process with the given rate.
-type Poisson struct{ Rate float64 }
-
-// NextGap implements ArrivalProcess.
-func (p Poisson) NextGap(r *rngutil.Stream) float64 { return r.Exp(p.Rate) }
-
-// String implements ArrivalProcess.
-func (p Poisson) String() string { return fmt.Sprintf("Poisson(rate=%g)", p.Rate) }
 
 // OnOff is a two-state talkspurt source: during an ON period (mean
 // duration MeanOn) arrivals are Poisson at OnRate; OFF periods (mean
@@ -88,11 +78,6 @@ func (o *OnOff) NextGap(r *rngutil.Stream) float64 {
 	}
 }
 
-// MeanRate returns the long-run arrival rate of the on/off source.
-func (o *OnOff) MeanRate() float64 {
-	return o.OnRate * o.MeanOn / (o.MeanOn + o.MeanOff)
-}
-
 // String implements ArrivalProcess.
 func (o *OnOff) String() string {
 	return fmt.Sprintf("OnOff(onRate=%g, on=%g, off=%g)", o.OnRate, o.MeanOn, o.MeanOff)
@@ -108,9 +93,6 @@ type Station struct {
 
 // New creates station id with an empty queue.
 func New(id int) *Station { return &Station{id: id} }
-
-// ID returns the station index.
-func (s *Station) ID() int { return s.id }
 
 // Push queues a message that arrived at the station at time at, which
 // must not be earlier than any message pushed before it (the engines
@@ -138,10 +120,4 @@ func (s *Station) PopOldestIn(w window.Window) (Message, bool) {
 // each in arrival order, and returns how many were dropped.
 func (s *Station) DiscardArrivedBeforeFunc(horizon float64, fn func(Message)) int {
 	return s.queue.DiscardBelow(horizon, func(_ float64, m Message) { fn(m) })
-}
-
-// Oldest returns the oldest pending message without removing it.
-func (s *Station) Oldest() (Message, bool) {
-	_, m, ok := s.queue.FirstIn(math.Inf(-1), math.Inf(1))
-	return m, ok
 }

@@ -1,14 +1,12 @@
 // Package stats provides the output-analysis tools used by the simulation
 // harness: numerically stable online moment accumulation (Welford),
 // fixed-bin histograms and empirical distributions for waiting times,
-// Student-t confidence intervals across independent replications, and the
-// batch-means method for single long runs.
+// and Student-t confidence intervals across independent replications.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator collects online mean and variance using Welford's algorithm,
@@ -60,28 +58,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation (0 when empty).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Merge folds another accumulator into this one (parallel Welford merge).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // String summarizes the accumulator.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
@@ -97,14 +73,6 @@ func (a *Accumulator) String() string {
 // interval.
 type Proportion struct {
 	Successes, Trials int64
-}
-
-// Observe records one Bernoulli outcome.
-func (p *Proportion) Observe(success bool) {
-	p.Trials++
-	if success {
-		p.Successes++
-	}
 }
 
 // Estimate returns the point estimate (0 when no trials).
@@ -244,9 +212,6 @@ func (h *Histogram) CDF(x float64) float64 {
 	return (float64(below) + frac*float64(h.bins[i])) / float64(h.total)
 }
 
-// Tail returns the empirical P(X > x) — the loss estimator when x = K.
-func (h *Histogram) Tail(x float64) float64 { return 1 - h.CDF(x) }
-
 // Quantile returns the smallest x with CDF(x) >= q, or +Inf if q exceeds
 // the non-overflow mass.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -283,58 +248,6 @@ func MeanCI(samples []float64, level float64) (mean, halfWidth float64, err erro
 	tq := StudentTQuantile((1+level)/2, n-1)
 	return acc.Mean(), tq * acc.StdDev() / math.Sqrt(float64(n)), nil
 }
-
-// BatchMeans splits a single correlated series into nBatches contiguous
-// batches and returns the batch means, the overall mean and the Student-t
-// half-width at the given level.  Standard output analysis for one long
-// steady-state run.
-func BatchMeans(series []float64, nBatches int, level float64) (mean, halfWidth float64, err error) {
-	if nBatches < 2 {
-		return 0, 0, fmt.Errorf("stats: need >= 2 batches")
-	}
-	if len(series) < 2*nBatches {
-		return 0, 0, fmt.Errorf("stats: series of %d too short for %d batches", len(series), nBatches)
-	}
-	per := len(series) / nBatches
-	means := make([]float64, nBatches)
-	for b := 0; b < nBatches; b++ {
-		sum := 0.0
-		for i := b * per; i < (b+1)*per; i++ {
-			sum += series[i]
-		}
-		means[b] = sum / float64(per)
-	}
-	return firstTwo(MeanCI(means, level))
-}
-
-func firstTwo(a, b float64, err error) (float64, float64, error) { return a, b, err }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the samples using linear
-// interpolation between order statistics.  The input is not modified.
-func Quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// ---------------------------------------------------------------------------
-// Quantile functions (no stdlib equivalents)
-// ---------------------------------------------------------------------------
 
 // NormalQuantile returns Φ⁻¹(p) for 0 < p < 1 using the Acklam rational
 // approximation (|relative error| < 1.15e-9).

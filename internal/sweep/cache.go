@@ -229,16 +229,6 @@ func (c *Cache) Dirty() int {
 	return c.dirty
 }
 
-// Len returns the number of distinct keys held.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
-}
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {

@@ -247,23 +247,27 @@ func newColumns(s Space, misses []int) columns {
 }
 
 // fill sets the analytic column of p, the point at enumeration position
-// i, from its group once the group is solved.  A point whose curve came
-// back NaN (an unstable baseline, a failed inversion, a failed group) or
-// whose discipline has no model takes the per-point path, which gives
-// its exact error.
+// i, from its group once the group is solved.  A failed group's error
+// becomes the error of each of its controlled points, without a second
+// solve.  A baseline whose curve came back NaN (unstable, or its own
+// series failed), a baseline of a failed group and a discipline with no
+// model take the per-point path, which gives their exact error.
 func (c columns) fill(i int, p Point, res *Result) {
 	loss := math.NaN()
 	if g := c.groups[i/(c.perK*c.nK)]; g != nil {
 		<-g.done
-		if ki := i / c.perK % c.nK; g.err == nil {
-			switch p.Discipline {
-			case core.Controlled.String():
-				loss = g.grids.Controlled[ki].Loss
-			case core.FCFS.String():
-				loss = g.grids.FCFS[ki]
-			case core.LCFS.String():
-				loss = g.grids.LCFS[ki]
-			}
+		ki := i / c.perK % c.nK
+		switch {
+		case g.err != nil && p.Discipline == core.Controlled.String():
+			res.AnalyticErr = g.err.Error()
+			return
+		case g.err != nil:
+		case p.Discipline == core.Controlled.String():
+			loss = g.grids.Controlled[ki].Loss
+		case p.Discipline == core.FCFS.String():
+			loss = g.grids.FCFS[ki]
+		case p.Discipline == core.LCFS.String():
+			loss = g.grids.LCFS[ki]
 		}
 	}
 	if math.IsNaN(loss) {
@@ -275,8 +279,7 @@ func (c columns) fill(i int, p Point, res *Result) {
 }
 
 // pointAnalytic sets the analytic column of p from its own §4 model
-// solve.  A solve that succeeds with a NaN loss (far past saturation)
-// leaves the column without a value and without an error.
+// solve.
 func pointAnalytic(p Point, res *Result) {
 	disc, err := ParseDiscipline(p.Discipline)
 	if err != nil {
@@ -284,12 +287,13 @@ func pointAnalytic(p Point, res *Result) {
 		return
 	}
 	sys := core.System{Tau: p.Tau, M: p.M, RhoPrime: p.RhoPrime, K: p.K(), Discipline: disc}
-	if a, err := sys.AnalyticLoss(); err != nil {
+	a, err := sys.AnalyticLoss()
+	if err != nil {
 		res.AnalyticErr = err.Error()
-	} else if !math.IsNaN(a.Loss) {
-		res.AnalyticLoss = fin(a.Loss)
-		res.AnalyticOK = true
+		return
 	}
+	res.AnalyticLoss = fin(a.Loss)
+	res.AnalyticOK = true
 }
 
 // simulate runs p's simulation when it carries a budget, replicated when

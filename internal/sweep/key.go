@@ -18,7 +18,7 @@ const SchemaVersion = "windowctl-sweep/1"
 // goldens (internal/sim/equiv_golden_test.go) are regenerated, or when
 // the sweep seed-derivation scheme changes — any change that makes the
 // same Point produce different bits.
-const EngineVersion = "engine-goldens/10"
+const EngineVersion = "engine-goldens/11"
 
 // Key returns the point's content address: a SHA-256 over the
 // canonicalized configuration plus SchemaVersion and EngineVersion,

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -88,10 +89,10 @@ func TestPanelsAreSweepViews(t *testing.T) {
 }
 
 // TestPanelErrors pins what a panel returns as an error rather than
-// records: an unknown protocol, a controlled analytic solve that does
-// not converge and a main-curve simulation that outgrows the engine's
-// backlog limit.  A failed baseline simulation is recorded on its Point
-// instead, and the panel still renders.
+// records: an unknown protocol and a main-curve simulation that outgrows
+// the engine's backlog limit.  A failed baseline simulation is recorded
+// on its Point instead, and the panel still renders.  So does the panel
+// far past saturation whose controlled solve used to fail.
 func TestPanelErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -101,8 +102,6 @@ func TestPanelErrors(t *testing.T) {
 	}{
 		{"unknown protocol", sim.PanelSpec{RhoPrime: 0.5, M: 25, KOverM: []float64{1}},
 			sim.SimOptions{Protocol: "bogus", Messages: 100, Seed: 1}, `unknown discipline "bogus"`},
-		{"controlled solve", sim.PanelSpec{RhoPrime: 50, M: 25, KOverM: []float64{3}},
-			sim.SimOptions{Disable: true}, "controlled loss: queueing: convolution series did not converge"},
 		// Eight times channel capacity: FCFS sends every message, so its
 		// backlog passes the engine's 1<<20 limit within ~1.2e6 arrivals.
 		{"main-curve simulation", sim.PanelSpec{RhoPrime: 8, M: 25, KOverM: []float64{1}},
@@ -112,6 +111,18 @@ func TestPanelErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+
+	// Eq. 4.7 stops once its loss is pinned within tol of the floor
+	// 1 − 1/ρ, and ρ ≥ ρ′ = 50 puts that floor above 0.98.  The series
+	// used to run out of terms here ("convolution series did not
+	// converge in 4096 terms").
+	sat, err := Figure7Panel(sim.PanelSpec{RhoPrime: 50, M: 25, KOverM: []float64{3}}, sim.SimOptions{Disable: true})
+	if err != nil {
+		t.Fatalf("rho'=50 K/M=3: %v", err)
+	}
+	if got := sat.Points[0].Controlled; !(got >= 1-1/50.0 && got <= 1) {
+		t.Errorf("rho'=50 K/M=3: controlled loss %v outside [0.98, 1]", got)
 	}
 
 	// The controlled protocol discards what it cannot deliver by K, so
@@ -133,29 +144,25 @@ func TestPanelErrors(t *testing.T) {
 	}
 }
 
-// TestNaNAnalyticHasNoValue pins the analytic column far past
-// saturation, where eq 4.7's solve returns NaN without an error: the
-// outcome must carry no value (not a sanitized 0 marked valid), and the
-// panel must show NaN, as the analytic curve did before the panels
-// became views.
+// TestNaNAnalyticHasNoValue pins what a failed analytic solve leaves on
+// its points: a controlled point of a failed group carries the group's
+// error and no value (not a sanitized 0 marked valid), without a second
+// solve, and its panel cell is NaN.  No solve of a valid space fails any
+// more (eq 4.7 stops past saturation once its loss is pinned), so the
+// failure is injected into the group.  The point's own solve would
+// succeed, so a per-point re-solve reads as a value here.
 func TestNaNAnalyticHasNoValue(t *testing.T) {
-	spec := sim.PanelSpec{RhoPrime: 1e9, M: 25, KOverM: []float64{1}}
-	outs, err := Run(Space{
-		Loads: []float64{spec.RhoPrime}, Ms: []float64{spec.M}, KOverM: spec.KOverM,
-		Disciplines: []core.Discipline{core.Controlled}, Seed: 1,
-	}, Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	g := &analyticGroup{err: errors.New("queueing: injected failure"), done: make(chan struct{})}
+	close(g.done)
+	cols := columns{groups: []*analyticGroup{g}, perK: 1, nK: 1}
+	p := Point{Tau: 1, RhoPrime: 0.5, M: 25, KOverM: 1, Discipline: core.Controlled.String()}
+	var res Result
+	cols.fill(0, p, &res)
+	if res.AnalyticOK || res.AnalyticErr != "queueing: injected failure" {
+		t.Errorf("controlled point of a failed group: analytic ok=%v loss=%v err=%q, want no value and the group's error",
+			res.AnalyticOK, res.AnalyticLoss, res.AnalyticErr)
 	}
-	if r := outs[0].Result; r.AnalyticOK || r.AnalyticErr != "" {
-		t.Errorf("controlled at rho'=1e9 K/M=1: analytic ok=%v loss=%v err=%q, want no value and no error",
-			r.AnalyticOK, r.AnalyticLoss, r.AnalyticErr)
-	}
-	panel, err := Figure7Panel(spec, sim.SimOptions{Disable: true})
-	if err != nil {
-		t.Fatalf("Figure7Panel: %v", err)
-	}
-	if got := panel.Points[0].Controlled; !math.IsNaN(got) {
-		t.Errorf("rho'=1e9 K/M=1: panel controlled loss %v, want NaN", got)
+	if got := analyticLoss(Outcome{Point: p, Result: res}); !math.IsNaN(got) {
+		t.Errorf("failed analytic solve: panel loss %v, want NaN", got)
 	}
 }

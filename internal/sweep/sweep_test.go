@@ -167,7 +167,7 @@ func TestKeyPinned(t *testing.T) {
 		Tau: 1, RhoPrime: 0.5, M: 25, KOverM: 2,
 		Discipline: "controlled", Seed: 1, Messages: 1000, Replications: 1,
 	}
-	const want = "54fedf71f12d756af604c308c0f8990aece89bceaa510f80d1107ebab8f70dc8"
+	const want = "f6ee05ef2a07953c5e85b7dc941c2a9f44082dddb8640766e7e4b52279f1cd38"
 	if got := p.Key(); got != want {
 		t.Fatalf("pinned key changed:\n got %s\nwant %s", got, want)
 	}

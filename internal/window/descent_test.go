@@ -90,7 +90,7 @@ func coalesce(ws ...window.Window) []window.Window {
 	for _, w := range ws {
 		s.Add(w)
 	}
-	return s.Intervals()
+	return s.AppendTo(nil)
 }
 
 // viaResolver runs the process probe by probe, with a collector counting

@@ -21,7 +21,6 @@ import (
 type RateEstimator struct {
 	rate     float64
 	halfLife float64
-	seeded   bool
 }
 
 // NewRateEstimator creates an estimator starting from the initial guess;
@@ -78,11 +77,7 @@ func (e *RateEstimator) Observe(messages int, examinedMeasure float64) {
 		rate = MaxRate
 	}
 	e.rate = rate
-	e.seeded = true
 }
 
 // Rate returns the current estimate.
 func (e *RateEstimator) Rate() float64 { return e.rate }
-
-// Seeded reports whether any observation has been folded in.
-func (e *RateEstimator) Seeded() bool { return e.seeded }

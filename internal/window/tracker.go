@@ -87,12 +87,6 @@ func (t *Tracker) Commit(now float64, examined []Window) {
 	t.cleared.TrimBelow(t.Horizon(now))
 }
 
-// UnexaminedSpan returns the total measure of time in [horizon, now] that
-// may still contain untransmitted arrivals — the pseudo-time state of §3.1.
-func (t *Tracker) UnexaminedSpan(now float64) float64 {
-	return t.cleared.UncoveredMeasure(t.Horizon(now), now)
-}
-
 // PseudoDelay returns the pseudo delay (§3.1/figure 3) of a message that
 // arrived at the given time: the measure of time between its arrival and
 // now that has not been proven clear — i.e. its delay on the compressed
@@ -106,20 +100,6 @@ func (t *Tracker) PseudoDelay(now, arrival float64) float64 {
 	return t.cleared.UncoveredMeasure(arrival, now)
 }
 
-// ClearedIntervals returns a copy of the currently tracked cleared
-// intervals (for traces and tests).
-func (t *Tracker) ClearedIntervals() []Window { return t.cleared.Intervals() }
-
 // AppendCleared appends the currently cleared intervals to dst and
-// returns the extended slice — the buffer-reusing form of
-// ClearedIntervals for per-slot callers such as the tracer.
+// returns the extended slice.
 func (t *Tracker) AppendCleared(dst []Window) []Window { return t.cleared.AppendTo(dst) }
-
-// Discards reports whether element (4) is in force.
-func (t *Tracker) Discards() bool { return t.discards }
-
-// K returns the time constraint.
-func (t *Tracker) K() float64 { return t.k }
-
-// Start returns the protocol epoch.
-func (t *Tracker) Start() float64 { return t.start }

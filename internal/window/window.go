@@ -265,16 +265,9 @@ func (s *IntervalSet) StartForUncoveredMeasure(lo, hi, measure float64) float64 
 	return lo
 }
 
-// Intervals returns a copy of the member intervals.  Hot paths should
-// prefer AppendTo, which reuses the caller's buffer.
-func (s *IntervalSet) Intervals() []Window {
-	return append([]Window(nil), s.iv...)
-}
-
 // AppendTo appends the member intervals to dst and returns the extended
-// slice — the non-copying counterpart of Intervals for callers that reuse
-// a buffer across calls.  The appended windows are values; the set keeps
-// ownership of nothing in dst.
+// slice, so callers can reuse a buffer across calls.  The appended
+// windows are values; the set keeps ownership of nothing in dst.
 func (s *IntervalSet) AppendTo(dst []Window) []Window {
 	return append(dst, s.iv...)
 }

@@ -57,15 +57,15 @@ func TestIntervalSetAddCoalesce(t *testing.T) {
 	}
 	s.Add(Window{2, 3}) // bridges the gap
 	if s.Len() != 1 {
-		t.Fatalf("coalesce failed: %v", s.Intervals())
+		t.Fatalf("coalesce failed: %v", s.AppendTo(nil))
 	}
-	iv := s.Intervals()
+	iv := s.AppendTo(nil)
 	if iv[0].Start != 1 || iv[0].End != 4 {
 		t.Fatalf("merged = %v", iv[0])
 	}
 	// Overlapping add.
 	s.Add(Window{3.5, 6})
-	iv = s.Intervals()
+	iv = s.AppendTo(nil)
 	if s.Len() != 1 || iv[0].End != 6 {
 		t.Fatalf("overlap merge failed: %v", iv)
 	}
@@ -142,12 +142,12 @@ func TestTrimBelow(t *testing.T) {
 	s.Add(Window{1, 3})
 	s.Add(Window{5, 7})
 	s.TrimBelow(2)
-	iv := s.Intervals()
+	iv := s.AppendTo(nil)
 	if len(iv) != 2 || iv[0].Start != 2 || iv[0].End != 3 {
 		t.Fatalf("trim partial: %v", iv)
 	}
 	s.TrimBelow(4)
-	iv = s.Intervals()
+	iv = s.AppendTo(nil)
 	if len(iv) != 1 || iv[0].Start != 5 {
 		t.Fatalf("trim whole interval: %v", iv)
 	}
@@ -249,7 +249,7 @@ func TestIntervalSetInvariantProperty(t *testing.T) {
 			a := r.Float64() * 10
 			s.Add(Window{a, a + r.Float64()*3})
 		}
-		iv := s.Intervals()
+		iv := s.AppendTo(nil)
 		for i, w := range iv {
 			if w.Empty() {
 				return false
@@ -799,7 +799,7 @@ func TestTrackerTPastProgression(t *testing.T) {
 	if tr.TNewest(10) != 6 {
 		t.Fatalf("t_newest with covered top: %v", tr.TNewest(10))
 	}
-	if m := tr.UnexaminedSpan(10); math.Abs(m-2) > 1e-12 {
+	if m := tr.PseudoDelay(10, tr.Horizon(10)); math.Abs(m-2) > 1e-12 {
 		t.Fatalf("unexamined span %v, want 2 ([4,6))", m)
 	}
 }
@@ -812,8 +812,8 @@ func TestTrackerDiscardAdvancesTPast(t *testing.T) {
 	}
 	// Examined mass below the horizon is trimmed away on Commit.
 	tr.Commit(12, []Window{{0, 2}})
-	if len(tr.ClearedIntervals()) != 0 {
-		t.Fatalf("sub-horizon interval kept: %v", tr.ClearedIntervals())
+	if len(tr.AppendCleared(nil)) != 0 {
+		t.Fatalf("sub-horizon interval kept: %v", tr.AppendCleared(nil))
 	}
 }
 
@@ -873,7 +873,7 @@ func TestControlledNoGapsProperty(t *testing.T) {
 			}
 			now += 0.1 * float64(len(rep.Steps))
 			// Invariant: cleared region is empty or one prefix interval.
-			iv := tr.ClearedIntervals()
+			iv := tr.AppendCleared(nil)
 			if len(iv) > 1 {
 				return false
 			}

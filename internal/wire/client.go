@@ -68,9 +68,6 @@ func NewClient(conn io.ReadWriter, cfg ClientConfig) *Client {
 	}
 }
 
-// Sent returns the number of counts frames handed to Send so far.
-func (c *Client) Sent() uint64 { return c.sent }
-
 // Acked returns the number of counts frames the server has acknowledged.
 func (c *Client) Acked() uint64 { return c.acked }
 

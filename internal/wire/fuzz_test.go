@@ -2,9 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
+
+// NumCounts returns the number of batch counts in a counts frame; with
+// Count it reads a frame count by count, the reference Sum must match.
+func (f *Frame) NumCounts() int { return len(f.payload) / 4 }
+
+// Count returns the i-th batch count of a counts frame.
+func (f *Frame) Count(i int) uint32 {
+	return binary.BigEndian.Uint32(f.payload[4*i:])
+}
 
 // FuzzDecode throws torn, oversized and garbage byte streams at the
 // decoder.  The contract under attack: Decode never panics, never

@@ -132,14 +132,6 @@ type Frame struct {
 	payload []byte
 }
 
-// NumCounts returns the number of batch counts in a counts frame.
-func (f *Frame) NumCounts() int { return len(f.payload) / 4 }
-
-// Count returns the i-th batch count of a counts frame.
-func (f *Frame) Count(i int) uint32 {
-	return binary.BigEndian.Uint32(f.payload[4*i:])
-}
-
 // Sum returns the total message count of a counts frame.  It cannot
 // overflow: a frame holds at most 2^32 counts of at most 2^32-1 each.
 func (f *Frame) Sum() uint64 {

@@ -289,7 +289,7 @@ func TestClientServer(t *testing.T) {
 		if err := c.Send(counts); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if out := c.Sent() - c.Acked(); out > 32 {
+		if out := c.sent - c.Acked(); out > 32 {
 			t.Fatalf("frame %d: %d frames outstanding, credit 32", i, out)
 		}
 	}
