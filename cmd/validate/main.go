@@ -54,11 +54,11 @@ func main() {
 	eq47 := map[group][]queueing.Result{}
 	for g, ks := range gridKs {
 		model := queueing.ProtocolModel{Tau: 1, M: g.m, RhoPrime: g.rho}
-		res, err := model.ControlledLossGrid(ks)
+		grids, err := model.LossGrids(ks, queueing.CurveControlled)
 		if err != nil {
 			fail(err)
 		}
-		eq47[g] = res
+		eq47[g] = grids.Controlled
 	}
 	gridPos := map[group]int{}
 

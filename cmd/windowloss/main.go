@@ -9,9 +9,10 @@
 //
 // K is given in absolute time (units of τ); use -km to give it in message
 // times instead.  -kms takes a comma-separated list of constraints in
-// message times and evaluates the whole grid through the batched multi-K
-// solvers, which share one convolution series across the constraints
-// (discipline "all" tabulates every curve).
+// message times and evaluates the whole grid in one call to the multi-K
+// solver, which shares one convolution series across the constraints
+// (discipline "all" tabulates every curve; a baseline with no steady
+// state prints "-").
 package main
 
 import (
@@ -78,9 +79,18 @@ func main() {
 	fmt.Printf("p(loss)           %.6f\n", res.Loss)
 }
 
-// gridMode evaluates a whole constraint grid through the batched multi-K
-// solvers (one shared convolution series per service law and quadrature
-// grid instead of one per constraint).
+// gridCurves maps each -discipline value to the curves grid mode tabulates.
+var gridCurves = map[string]queueing.Curves{
+	"controlled": queueing.CurveControlled,
+	"fcfs":       queueing.CurveFCFS,
+	"lcfs":       queueing.CurveLCFS,
+	"all":        queueing.AllCurves,
+}
+
+// gridMode evaluates a whole constraint grid in one LossGrids call (one
+// shared convolution series per service law and quadrature grid instead
+// of one per constraint) and prints a column per curve.  A baseline with
+// no steady state prints "-".
 func gridMode(rho, m, tau float64, kms, disc string) {
 	var ks, kmVals []float64
 	for _, f := range strings.Split(kms, ",") {
@@ -92,55 +102,53 @@ func gridMode(rho, m, tau float64, kms, disc string) {
 		kmVals = append(kmVals, v)
 		ks = append(ks, v*m*tau)
 	}
-	model := queueing.ProtocolModel{Tau: tau, M: m, RhoPrime: rho}
-
-	switch disc {
-	case "all":
-		grids, err := model.LossGrids(ks, queueing.AllCurves)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "windowloss:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("rho'=%.2f M=%g tau=%g\n", rho, m, tau)
-		fmt.Printf("%8s %10s %12s %12s %12s\n", "K/M", "K", "controlled", "fcfs", "lcfs")
-		for i := range ks {
-			fmt.Printf("%8.2f %10.1f %12.6f %12s %12s\n",
-				kmVals[i], ks[i], grids.Controlled[i].Loss,
-				fmtMaybe(grids.FCFS[i]), fmtMaybe(grids.LCFS[i]))
-		}
-		return
-	case "controlled":
-		res, err := model.ControlledLossGrid(ks)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "windowloss:", err)
-			os.Exit(1)
-		}
-		printGrid(rho, m, tau, disc, kmVals, ks, func(i int) float64 { return res[i].Loss })
-	case "fcfs":
-		losses, err := model.FCFSLossGrid(ks)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "windowloss:", err)
-			os.Exit(1)
-		}
-		printGrid(rho, m, tau, disc, kmVals, ks, func(i int) float64 { return losses[i] })
-	case "lcfs":
-		losses, err := model.LCFSLossGrid(ks)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "windowloss:", err)
-			os.Exit(1)
-		}
-		printGrid(rho, m, tau, disc, kmVals, ks, func(i int) float64 { return losses[i] })
-	default:
+	want, ok := gridCurves[disc]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "windowloss: unknown discipline %q\n", disc)
 		os.Exit(2)
 	}
-}
+	model := queueing.ProtocolModel{Tau: tau, M: m, RhoPrime: rho}
+	grids, err := model.LossGrids(ks, want)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "windowloss:", err)
+		os.Exit(1)
+	}
 
-func printGrid(rho, m, tau float64, disc string, kmVals, ks []float64, loss func(int) float64) {
-	fmt.Printf("rho'=%.2f M=%g tau=%g discipline=%s\n", rho, m, tau, disc)
-	fmt.Printf("%8s %10s %12s\n", "K/M", "K", "p(loss)")
+	type column struct {
+		name string
+		loss []float64
+	}
+	var cols []column
+	if grids.Controlled != nil {
+		loss := make([]float64, len(ks))
+		for i, r := range grids.Controlled {
+			loss[i] = r.Loss
+		}
+		cols = append(cols, column{"controlled", loss})
+	}
+	if grids.FCFS != nil {
+		cols = append(cols, column{"fcfs", grids.FCFS})
+	}
+	if grids.LCFS != nil {
+		cols = append(cols, column{"lcfs", grids.LCFS})
+	}
+	title := fmt.Sprintf("rho'=%.2f M=%g tau=%g", rho, m, tau)
+	if len(cols) == 1 {
+		title += " discipline=" + disc
+		cols[0].name = "p(loss)"
+	}
+	fmt.Println(title)
+	fmt.Printf("%8s %10s", "K/M", "K")
+	for _, c := range cols {
+		fmt.Printf(" %12s", c.name)
+	}
+	fmt.Println()
 	for i := range ks {
-		fmt.Printf("%8.2f %10.1f %12s\n", kmVals[i], ks[i], fmtMaybe(loss(i)))
+		fmt.Printf("%8.2f %10.1f", kmVals[i], ks[i])
+		for _, c := range cols {
+			fmt.Printf(" %12s", fmtMaybe(c.loss[i]))
+		}
+		fmt.Println()
 	}
 }
 

@@ -241,30 +241,24 @@ func (s System) AnalyticLoss() (AnalyticResult, error) {
 			Loss: res.Loss, Rho: res.Rho, ServerIdle: res.ServerIdle,
 			WindowContent: model.WindowContent(s.K),
 		}, nil
-	case FCFS:
-		loss, err := model.FCFSLoss(s.K)
-		if err != nil {
-			return AnalyticResult{}, err
-		}
+	case FCFS, LCFS:
+		// The uncontrolled baselines: a plain M/G/1 on the uncapped
+		// window content G* (no element (4)).
 		svc, err := model.Service(queueing.OptimalWindowContent())
 		if err != nil {
 			return AnalyticResult{}, err
 		}
-		return AnalyticResult{
-			Loss: loss, Rho: s.Lambda() * svc.Mean(), ServerIdle: math.NaN(),
-			WindowContent: queueing.OptimalWindowContent(),
-		}, nil
-	case LCFS:
-		loss, err := model.LCFSLoss(s.K)
-		if err != nil {
-			return AnalyticResult{}, err
+		q := queueing.MG1{Lambda: s.Lambda(), Service: svc}
+		lossAt := q.LossFCFS
+		if s.Discipline == LCFS {
+			lossAt = q.LossLCFS
 		}
-		svc, err := model.Service(queueing.OptimalWindowContent())
+		loss, err := lossAt(s.K)
 		if err != nil {
 			return AnalyticResult{}, err
 		}
 		return AnalyticResult{
-			Loss: loss, Rho: s.Lambda() * svc.Mean(), ServerIdle: math.NaN(),
+			Loss: loss, Rho: q.Rho(), ServerIdle: math.NaN(),
 			WindowContent: queueing.OptimalWindowContent(),
 		}, nil
 	default:

@@ -2,7 +2,6 @@ package queueing
 
 import (
 	"fmt"
-	"math"
 
 	"windowctl/internal/dist"
 	"windowctl/internal/numerics"
@@ -17,10 +16,6 @@ type MG1 struct {
 	Lambda float64
 	// Service is the service-time law.
 	Service dist.Distribution
-	// Step is the convolution grid spacing (0 = automatic).
-	Step float64
-	// MaxTerms bounds the Beneš series (0 = 4096).
-	MaxTerms int
 }
 
 // Rho returns the offered load λ·E[X].
@@ -39,149 +34,34 @@ func (q MG1) validate() error {
 	return nil
 }
 
-// WaitCDF evaluates the FCFS waiting-time distribution at the given points
-// using the Beneš / Takács series
+// LossFCFS returns P(W > K) for the FCFS baseline, from the Beneš /
+// Takács series of the waiting-time distribution
 //
-//	P(W <= w) = (1−ρ) Σ_{i≥0} ρ^i ∫₀ʷ β⁽ⁱ⁾(u) du ,
+//	P(W <= K) = (1−ρ) Σ_{i≥0} ρ^i ∫₀ᴷ β⁽ⁱ⁾(u) du ,
 //
 // the unfinished-work law whose truncation at K the paper's equation 4.4
 // reuses.  P(W > K) is the loss fraction of the uncontrolled FCFS window
 // protocol.
-func (q MG1) WaitCDF(ws []float64) ([]float64, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	wMax := 0.0
-	for _, w := range ws {
-		if w < 0 {
-			return nil, fmt.Errorf("queueing: negative evaluation point %v", w)
-		}
-		if w > wMax {
-			wMax = w
-		}
-	}
-	rho := q.Rho()
-	if wMax == 0 {
-		out := make([]float64, len(ws))
-		for i := range out {
-			out[i] = 1 - rho // P(W = 0) = P(idle)
-		}
-		return out, nil
-	}
-	step := q.Step
-	if step <= 0 {
-		step = math.Min(wMax, q.Service.Mean()) / 512
-	}
-	n := int(wMax/step) + 2
-	xbar := q.Service.Mean()
-	beta := numerics.Tabulate(func(u float64) float64 {
-		return (1 - q.Service.CDF(u)) / xbar
-	}, step, n)
-
-	maxTerms := q.MaxTerms
-	if maxTerms <= 0 {
-		maxTerms = 4096
-	}
-	sums := make([]float64, len(ws))
-	for j := range sums {
-		sums[j] = 1 // i = 0 atom at zero
-	}
-	conv := beta.Clone()
-	plan := numerics.NewConvolver(beta)
-	pow := rho
-	const tol = 1e-12
-	for i := 1; i <= maxTerms; i++ {
-		mass := conv.IntegralTo(wMax)
-		for j, w := range ws {
-			sums[j] += pow * conv.IntegralTo(w)
-		}
-		if pow*mass < tol {
-			break
-		}
-		if i == maxTerms {
-			return nil, fmt.Errorf("queueing: Beneš series did not converge in %d terms", maxTerms)
-		}
-		plan.ConvolveInto(conv, conv)
-		pow *= rho
-	}
-	out := make([]float64, len(ws))
-	for j := range ws {
-		out[j] = (1 - rho) * sums[j]
-		if out[j] > 1 {
-			out[j] = 1
-		}
-	}
-	return out, nil
-}
-
-// LossFCFS returns P(W > K) for the FCFS baseline.
 func (q MG1) LossFCFS(k float64) (float64, error) {
 	if k < 0 {
 		return 0, fmt.Errorf("queueing: negative constraint %v", k)
 	}
-	cdf, err := q.WaitCDF([]float64{k})
+	if err := q.validate(); err != nil {
+		return 0, err
+	}
+	rho := q.Rho()
+	if k == 0 {
+		return 1 - (1 - rho), nil // P(W > 0) = 1 − P(idle)
+	}
+	step, err := gridStep(k, q.Service.Mean())
 	if err != nil {
 		return 0, err
 	}
-	return 1 - cdf[0], nil
-}
-
-// LossFCFSGrid returns P(W > K) for every constraint of ks at the cost of
-// one Beneš series per shared quadrature grid instead of one per
-// constraint (see ImpatientMG1.SolveGrid for the partitioning rule; the
-// i-fold convolutions β⁽ⁱ⁾ are K-independent, so constraints on the same
-// grid share them).  Results match per-K LossFCFS to rounding error.
-func (q MG1) LossFCFSGrid(ks []float64) ([]float64, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
+	r := &seriesReq{k: k}
+	if err := runSeries(rho, q.Service, step, []*seriesReq{r}); err != nil {
+		return 0, err
 	}
-	for _, k := range ks {
-		if k < 0 {
-			return nil, fmt.Errorf("queueing: negative constraint %v", k)
-		}
-	}
-	rho := q.Rho()
-	xbar := q.Service.Mean()
-	out := make([]float64, len(ks))
-	var zero []int // K = 0 constraints: P(W <= 0) = 1 − ρ exactly
-	var pos []int
-	for i, k := range ks {
-		if k == 0 {
-			zero = append(zero, i)
-		} else {
-			pos = append(pos, i)
-		}
-	}
-	for _, i := range zero {
-		out[i] = rho
-	}
-	for _, batch := range partitionConstraints(ks, pos, q.Step, xbar) {
-		kMax := 0.0
-		for _, i := range batch.idx {
-			if ks[i] > kMax {
-				kMax = ks[i]
-			}
-		}
-		n := int(kMax/batch.step) + 2
-		beta := numerics.Tabulate(func(u float64) float64 {
-			return (1 - q.Service.CDF(u)) / xbar
-		}, batch.step, n)
-		reqs := make([]*seriesReq, len(batch.idx))
-		for j, i := range batch.idx {
-			reqs[j] = &seriesReq{k: ks[i], tol: 1e-12}
-		}
-		if err := runSeries(rho, beta, q.MaxTerms, reqs); err != nil {
-			return nil, err
-		}
-		for j, i := range batch.idx {
-			cdf := (1 - rho) * reqs[j].sum
-			if cdf > 1 {
-				cdf = 1
-			}
-			out[i] = 1 - cdf
-		}
-	}
-	return out, nil
+	return r.fcfsLoss(rho), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -251,23 +131,4 @@ func (q MG1) LossLCFS(k float64) (float64, error) {
 		return 0, err
 	}
 	return 1 - cdf, nil
-}
-
-// LossLCFSGrid returns P(W > K) for every constraint of ks.  The LCFS law
-// is inverted per constraint (Euler inversion has no cross-K sharing), but
-// the batched entry point validates once and matches the other *Grid
-// solvers so callers can evaluate a whole panel curve in one call.
-func (q MG1) LossLCFSGrid(ks []float64) ([]float64, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ks))
-	for i, k := range ks {
-		loss, err := q.LossLCFS(k)
-		if err != nil {
-			return nil, fmt.Errorf("queueing: LCFS loss at K=%v: %w", k, err)
-		}
-		out[i] = loss
-	}
-	return out, nil
 }

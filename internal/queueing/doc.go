@@ -15,4 +15,12 @@
 //
 // All three share the message service-time law: windowing (scheduling)
 // overhead plus transmission time, built by internal/sched.
+//
+// The first two are power series over the convolution powers of one
+// residual service density, and one engine (runSeries, series.go)
+// evaluates both.  ProtocolModel.LossGrids is the multi-K solver: it
+// feeds every constraint on a shared service law and quadrature grid from
+// a single convolution series.  The per-K solvers — ImpatientMG1.Solve
+// and MG1.LossFCFS, behind ProtocolModel.ControlledLoss and FCFSLoss —
+// run one request through the same engine.
 package queueing

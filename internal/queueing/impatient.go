@@ -17,11 +17,6 @@ type ImpatientMG1 struct {
 	Lambda float64
 	// Service is the service-time law (scheduling + transmission).
 	Service dist.Distribution
-	// Step is the grid spacing for the numerical convolutions; if zero, a
-	// spacing of min(K, mean service)/512 is chosen.
-	Step float64
-	// MaxTerms bounds the convolution series; 0 means 4096.
-	MaxTerms int
 }
 
 // Result carries the solved queue quantities.
@@ -49,65 +44,20 @@ type Result struct {
 // the impatient queue is stable for any ρ, and the series converges for
 // ρ ≥ 1 too because ∫₀ᴷβ⁽ⁱ⁾ eventually decays super-geometrically.
 func (q ImpatientMG1) Solve(k float64) (Result, error) {
-	res, err := q.SolveGrid([]float64{k})
+	if err := q.validate(k); err != nil {
+		return Result{}, err
+	}
+	xbar := q.Service.Mean()
+	step, err := gridStep(k, xbar)
 	if err != nil {
 		return Result{}, err
 	}
-	return res[0], nil
-}
-
-// SolveGrid computes equation 4.7 at every constraint of ks in one pass:
-// the i-fold convolutions β⁽ⁱ⁾ do not depend on K, so one shared series
-// feeds the prefix integrals ∫₀ᵏʲ β⁽ⁱ⁾ of every constraint, and a grid of
-// constraints costs one convolution series instead of len(ks).  Results
-// match per-K Solve to rounding error: constraints are partitioned onto
-// exactly the quadrature grids Solve would have chosen (with the automatic
-// spacing, every constraint at or above the mean service time shares one
-// grid; shorter constraints keep their own finer grid), and each
-// constraint stops accumulating by its own per-K stopping rule.
-func (q ImpatientMG1) SolveGrid(ks []float64) ([]Result, error) {
-	if len(ks) == 0 {
-		return nil, nil
-	}
-	for _, k := range ks {
-		if err := q.validate(k); err != nil {
-			return nil, err
-		}
-	}
-	xbar := q.Service.Mean()
 	rho := q.Lambda * xbar
-	out := make([]Result, len(ks))
-	for _, batch := range partitionConstraints(ks, nil, q.Step, xbar) {
-		kMax := 0.0
-		for _, i := range batch.idx {
-			if ks[i] > kMax {
-				kMax = ks[i]
-			}
-		}
-		beta := q.residualGridStep(kMax, batch.step)
-		reqs := make([]*seriesReq, len(batch.idx))
-		for n, i := range batch.idx {
-			reqs[n] = &seriesReq{k: ks[i], clamp: true, tol: 1e-10, rhoGuard: true}
-		}
-		if err := runSeries(rho, beta, q.MaxTerms, reqs); err != nil {
-			return nil, err
-		}
-		for n, i := range batch.idx {
-			z := reqs[n].sum
-			// p(loss) = 1 − z/(1+ρz); equivalently the paper's
-			// 1 − ρ⁻¹ + 1/(ρ+ρ²z).
-			loss := 1 - z/(1+rho*z)
-			p0 := 1 / (1 + rho*z) // ρ·p(accept) = 1 − P(0), p(accept) = P(0)·z
-			if loss < 0 {
-				loss = 0
-			}
-			if loss > 1 {
-				loss = 1
-			}
-			out[i] = Result{Loss: loss, ServerIdle: p0, Rho: rho, Z: z, Terms: reqs[n].terms}
-		}
+	r := &seriesReq{k: k, controlled: true}
+	if err := runSeries(rho, q.Service, step, []*seriesReq{r}); err != nil {
+		return Result{}, err
 	}
-	return out, nil
+	return r.result(rho), nil
 }
 
 func (q ImpatientMG1) validate(k float64) error {
@@ -126,15 +76,6 @@ func (q ImpatientMG1) validate(k float64) error {
 	return nil
 }
 
-// residualGridStep tabulates β on [0, k] at an explicit spacing.
-func (q ImpatientMG1) residualGridStep(k, step float64) *numerics.Grid {
-	n := int(k/step) + 2
-	xbar := q.Service.Mean()
-	return numerics.Tabulate(func(w float64) float64 {
-		return (1 - q.Service.CDF(w)) / xbar
-	}, step, n)
-}
-
 // AcceptedWaitCDF returns the waiting-time distribution of *accepted*
 // messages evaluated at w <= K:
 //
@@ -151,15 +92,11 @@ func (q ImpatientMG1) AcceptedWaitCDF(k float64, ws []float64) ([]float64, error
 		}
 	}
 	rho := q.Lambda * q.Service.Mean()
-	step := q.Step
-	if step <= 0 {
-		step = math.Min(k, q.Service.Mean()) / 512
+	step, err := gridStep(k, q.Service.Mean())
+	if err != nil {
+		return nil, err
 	}
-	beta := q.residualGridStep(k, step)
-	maxTerms := q.MaxTerms
-	if maxTerms <= 0 {
-		maxTerms = 4096
-	}
+	beta := residualDensity(q.Service, k, step)
 	sums := make([]float64, len(ws)) // Σ ρ^i ∫₀^{w_j} β⁽ⁱ⁾
 	for j := range sums {
 		sums[j] = 1 // i = 0 atom
@@ -168,7 +105,7 @@ func (q ImpatientMG1) AcceptedWaitCDF(k float64, ws []float64) ([]float64, error
 	conv := beta.Clone()
 	plan := numerics.NewConvolver(beta)
 	pow := rho
-	for i := 1; i <= maxTerms; i++ {
+	for i := 1; i <= maxSeriesTerms; i++ {
 		mass := conv.IntegralTo(k)
 		term := pow * mass
 		zK += term

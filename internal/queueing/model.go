@@ -49,10 +49,6 @@ type ProtocolModel struct {
 	// exact in the K → 0 limit and differs by < 0.4·τ per message
 	// elsewhere; see internal/sched.ResolutionSlotPMF.
 	IncludeEmptyProbes bool
-	// Step overrides the convolution grid spacing (0 = automatic).
-	Step float64
-	// MaxSlots truncates the exact scheduling distribution (0 = 512).
-	MaxSlots int
 	// TxDist, when non-nil, replaces the paper's fixed transmission time
 	// M·τ with a general i.i.d. message-length law (its mean should be
 	// M·τ so RhoPrime keeps its meaning).  Theorem 1 needs only
@@ -123,10 +119,7 @@ func (m ProtocolModel) Service(g float64) (dist.Distribution, error) {
 		}
 		overhead = dist.NewGeometricLattice(meanSlots, m.Tau)
 	case ExactScheduling:
-		maxSlots := m.MaxSlots
-		if maxSlots <= 0 {
-			maxSlots = 512
-		}
+		const maxSlots = 512 // truncation of the exact slot-count law
 		var pmf []float64
 		if m.IncludeEmptyProbes {
 			pmf = sched.SlotPMF(g, maxSlots)
@@ -169,74 +162,8 @@ func (m ProtocolModel) ControlledLoss(k float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	q := ImpatientMG1{Lambda: m.Lambda(), Service: svc, Step: m.Step}
+	q := ImpatientMG1{Lambda: m.Lambda(), Service: svc}
 	return q.Solve(k)
-}
-
-// ControlledLossGrid evaluates equation 4.7 at every constraint of ks,
-// sharing the convolution series among constraints with the same window
-// content (element (4) caps the window at λ′K below G*, so short
-// constraints carry their own service law while everything at or above
-// G*/λ′ shares one).  Results match per-K ControlledLoss to rounding
-// error; a full figure-7 panel costs one convolution series plus one
-// cheap series per capped constraint instead of one series per point.
-func (m ProtocolModel) ControlledLossGrid(ks []float64) ([]Result, error) {
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ks))
-	byContent := map[float64][]int{}
-	var order []float64 // deterministic group order
-	for i, k := range ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("queueing: constraint K=%v must be positive", k)
-		}
-		g := m.WindowContent(k)
-		if _, ok := byContent[g]; !ok {
-			order = append(order, g)
-		}
-		byContent[g] = append(byContent[g], i)
-	}
-	for _, g := range order {
-		idx := byContent[g]
-		svc, err := m.Service(g)
-		if err != nil {
-			return nil, err
-		}
-		sub := make([]float64, len(idx))
-		for n, i := range idx {
-			sub[n] = ks[i]
-		}
-		q := ImpatientMG1{Lambda: m.Lambda(), Service: svc, Step: m.Step}
-		res, err := q.SolveGrid(sub)
-		if err != nil {
-			return nil, err
-		}
-		for n, i := range idx {
-			out[i] = res[n]
-		}
-	}
-	return out, nil
-}
-
-// FCFSLossGrid returns the uncontrolled-FCFS loss P(W > K) at every
-// constraint of ks via one shared Beneš series per quadrature grid.
-func (m ProtocolModel) FCFSLossGrid(ks []float64) ([]float64, error) {
-	q, err := m.baselineQueue()
-	if err != nil {
-		return nil, err
-	}
-	return q.LossFCFSGrid(ks)
-}
-
-// LCFSLossGrid returns the uncontrolled-LCFS loss P(W > K) at every
-// constraint of ks, building the baseline queue (and its service law) once.
-func (m ProtocolModel) LCFSLossGrid(ks []float64) ([]float64, error) {
-	q, err := m.baselineQueue()
-	if err != nil {
-		return nil, err
-	}
-	return q.LossLCFSGrid(ks)
 }
 
 // Curves selects the analytic curves LossGrids solves.
@@ -263,16 +190,25 @@ type GridLosses struct {
 }
 
 // LossGrids evaluates the curves of want on one constraint grid with
-// maximal convolution sharing.  Beyond the per-curve batching of
-// ControlledLossGrid and FCFSLossGrid, the eq 4.7 z-series and the FCFS
-// Beneš series integrate powers of the *same* residual density β
-// wherever the controlled window is uncapped (G = G*, the same window
-// content the baselines always use), so both curves ride a single
-// convolution series there.  The baselines are not solved at all when
-// the uncontrolled queue is unstable.  When the call succeeds, a curve's
-// values do not depend on which other curves are in want.  This is the
-// analytic engine behind the sweep's analytic column, and so behind the
-// figure-7 panels, which are views over sweep.Run.
+// maximal convolution sharing, and is the package's only multi-K solver.
+// The i-fold convolutions β⁽ⁱ⁾ of the residual service density do not
+// depend on K, so every constraint on the same service law and quadrature
+// grid shares one convolution series: element (4) caps the controlled
+// window at λ′K below G*, so short constraints carry their own service
+// law while everything at or above G*/λ′ shares one, and with the spacing
+// min(K, E[X])/512 every constraint at or above the mean service time
+// shares one grid.  The eq 4.7 z-series and the FCFS Beneš series
+// integrate powers of the *same* β wherever the controlled window is
+// uncapped (G = G*, the window content the baselines always use), so both
+// curves ride a single series there.  Each request stops by its own rule,
+// so a value differs from its per-K solve only by the rounding of the
+// longer tabulation.  The baselines are not solved at all when the
+// uncontrolled queue is unstable.  When the call succeeds, a curve's
+// values do not depend on which other curves are in want.  A NaN or
+// infinite constraint, or one whose quadrature grid would be too large,
+// is an error.  This is the analytic engine behind the sweep's analytic
+// column, and so behind the figure-7 panels, which are views over
+// sweep.Run.
 func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) {
 	if err := m.validate(); err != nil {
 		return GridLosses{}, err
@@ -280,6 +216,9 @@ func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) 
 	for _, k := range ks {
 		if k <= 0 {
 			return GridLosses{}, fmt.Errorf("queueing: constraint K=%v must be positive", k)
+		}
+		if math.IsNaN(k) || math.IsInf(k, 0) {
+			return GridLosses{}, gridError(k, k)
 		}
 	}
 	nanFilled := func() []float64 {
@@ -322,14 +261,15 @@ func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) 
 	}
 	// The baselines run on the uncapped law G*; an unstable one has no
 	// steady state, so its curves stay NaN.
-	var starLaw lawInfo
+	var base MG1
 	fcfs, lcfs := out.FCFS != nil, out.LCFS != nil
 	if fcfs || lcfs {
 		var err error
-		if starLaw, err = lawFor(gStar); err != nil {
+		if base, err = m.baselineQueue(); err != nil {
 			return GridLosses{}, err
 		}
-		if lambda*starLaw.xbar >= 1 {
+		laws[gStar] = lawInfo{svc: base.Service, xbar: base.Service.Mean()}
+		if base.Rho() >= 1 {
 			fcfs, lcfs = false, false
 		}
 	}
@@ -339,16 +279,19 @@ func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) 
 	type bucketKey struct{ g, step float64 }
 	type bucket struct {
 		key  bucketKey
-		kMax float64
 		ctrl []int // constraint indices wanting the z-series
 		fcfs []int // constraint indices wanting the Beneš series
 	}
 	var buckets []*bucket
 	byKey := map[bucketKey]*bucket{}
-	add := func(g, xbar, k float64, i int, fcfs bool) {
-		step := m.Step
-		if step <= 0 {
-			step = math.Min(k, xbar) / 512
+	add := func(g float64, i int, fcfs bool) error {
+		law, err := lawFor(g)
+		if err != nil {
+			return err
+		}
+		step, err := gridStep(ks[i], law.xbar)
+		if err != nil {
+			return err
 		}
 		key := bucketKey{g: g, step: step}
 		b, ok := byKey[key]
@@ -357,74 +300,53 @@ func (m ProtocolModel) LossGrids(ks []float64, want Curves) (GridLosses, error) 
 			byKey[key] = b
 			buckets = append(buckets, b)
 		}
-		if k > b.kMax {
-			b.kMax = k
-		}
 		if fcfs {
 			b.fcfs = append(b.fcfs, i)
 		} else {
 			b.ctrl = append(b.ctrl, i)
 		}
+		return nil
 	}
 	for i, k := range ks {
 		if out.Controlled != nil {
-			g := m.WindowContent(k)
-			law, err := lawFor(g)
-			if err != nil {
+			if err := add(m.WindowContent(k), i, false); err != nil {
 				return GridLosses{}, err
 			}
-			add(g, law.xbar, k, i, false)
 		}
 		if fcfs {
-			add(gStar, starLaw.xbar, k, i, true)
+			if err := add(gStar, i, true); err != nil {
+				return GridLosses{}, err
+			}
 		}
 	}
 
 	for _, b := range buckets {
 		law := laws[b.key.g]
 		rho := lambda * law.xbar
-		q := ImpatientMG1{Lambda: lambda, Service: law.svc}
-		beta := q.residualGridStep(b.kMax, b.key.step)
 		reqs := make([]*seriesReq, 0, len(b.ctrl)+len(b.fcfs))
 		for _, i := range b.ctrl {
-			reqs = append(reqs, &seriesReq{k: ks[i], clamp: true, tol: 1e-10, rhoGuard: true})
+			reqs = append(reqs, &seriesReq{k: ks[i], controlled: true})
 		}
 		for _, i := range b.fcfs {
-			reqs = append(reqs, &seriesReq{k: ks[i], tol: 1e-12})
+			reqs = append(reqs, &seriesReq{k: ks[i]})
 		}
-		if err := runSeries(rho, beta, 0, reqs); err != nil {
+		if err := runSeries(rho, law.svc, b.key.step, reqs); err != nil {
 			if len(b.ctrl) > 0 {
 				return GridLosses{}, err
 			}
 			continue // baseline-only bucket: leave those FCFS points NaN
 		}
 		for n, i := range b.ctrl {
-			z := reqs[n].sum
-			loss := 1 - z/(1+rho*z)
-			if loss < 0 {
-				loss = 0
-			}
-			if loss > 1 {
-				loss = 1
-			}
-			out.Controlled[i] = Result{
-				Loss: loss, ServerIdle: 1 / (1 + rho*z), Rho: rho, Z: z,
-				Terms: reqs[n].terms,
-			}
+			out.Controlled[i] = reqs[n].result(rho)
 		}
 		for n, i := range b.fcfs {
-			cdf := (1 - rho) * reqs[len(b.ctrl)+n].sum
-			if cdf > 1 {
-				cdf = 1
-			}
-			out.FCFS[i] = 1 - cdf
+			out.FCFS[i] = reqs[len(b.ctrl)+n].fcfsLoss(rho)
 		}
 	}
 
 	if lcfs {
-		lq := MG1{Lambda: lambda, Service: starLaw.svc, Step: m.Step}
 		for i, k := range ks {
-			if loss, err := lq.LossLCFS(k); err == nil {
+			if loss, err := base.LossLCFS(k); err == nil {
 				out.LCFS[i] = loss
 			}
 		}
@@ -487,7 +409,7 @@ func (m ProtocolModel) ControlledLossCurve(ks []float64) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		q := ImpatientMG1{Lambda: m.Lambda(), Service: svc, Step: m.Step}
+		q := ImpatientMG1{Lambda: m.Lambda(), Service: svc}
 		res, err := q.Solve(k)
 		if err != nil {
 			return nil, err
@@ -508,7 +430,7 @@ func (m ProtocolModel) baselineQueue() (MG1, error) {
 	if err != nil {
 		return MG1{}, err
 	}
-	return MG1{Lambda: m.Lambda(), Service: svc, Step: m.Step}, nil
+	return MG1{Lambda: m.Lambda(), Service: svc}, nil
 }
 
 // FCFSLoss returns the loss P(W > K) of the uncontrolled FCFS window

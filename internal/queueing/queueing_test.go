@@ -228,9 +228,13 @@ func TestMM1WaitClosedForm(t *testing.T) {
 	lambda, mu := 0.6, 1.0
 	q := MG1{Lambda: lambda, Service: dist.NewExponential(mu)}
 	ws := []float64{0, 0.5, 1, 2, 5}
-	got, err := q.WaitCDF(ws)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]float64, len(ws))
+	for i, w := range ws {
+		loss, err := q.LossFCFS(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = 1 - loss
 	}
 	rho := lambda / mu
 	for i, w := range ws {
@@ -259,9 +263,6 @@ func TestFCFSLossAgainstSimulation(t *testing.T) {
 
 func TestMG1UnstableRejected(t *testing.T) {
 	q := MG1{Lambda: 1.2, Service: dist.NewExponential(1)}
-	if _, err := q.WaitCDF([]float64{1}); err == nil {
-		t.Fatal("unstable queue accepted")
-	}
 	if _, err := q.LossFCFS(1); err == nil {
 		t.Fatal("unstable queue accepted by LossFCFS")
 	}

@@ -124,3 +124,31 @@ func TestRunAnalyticAcrossSpaces(t *testing.T) {
 		t.Fatalf("setup: the spaces share %d points, want %d", shared, want)
 	}
 }
+
+// A K/M the axis check admits but whose quadrature grid cannot be built
+// is an analytic error on the point, not a panic in a worker.
+func TestRunAnalyticUnbuildableConstraint(t *testing.T) {
+	s := Space{
+		Loads:       []float64{0.5},
+		Ms:          []float64{25},
+		KOverM:      []float64{1, 1e300},
+		Disciplines: []core.Discipline{core.Controlled, core.FCFS},
+		Seed:        1983,
+	}
+	outs := mustRun(t, s, Options{Workers: 2})
+	const want = "queueing: constraint K=2.5e+301 needs a quadrature grid of 4.931e+302 points (the bound is 16777216)"
+	seen := 0
+	for _, o := range outs {
+		if o.Point.KOverM != 1e300 {
+			continue
+		}
+		seen++
+		if o.Result.AnalyticOK || o.Result.AnalyticErr != want {
+			t.Errorf("%s at K/M=1e300: ok=%v err=%q, want the error %q",
+				o.Point.Discipline, o.Result.AnalyticOK, o.Result.AnalyticErr, want)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("setup: %d points at K/M=1e300, want 2", seen)
+	}
+}
